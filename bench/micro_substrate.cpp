@@ -16,6 +16,7 @@
 #include "simd/bitplane.hpp"
 #include "simd/rendezvous.hpp"
 #include "simd/scan.hpp"
+#include "simd/summary.hpp"
 #include "synthetic/tree.hpp"
 
 namespace {
@@ -23,12 +24,14 @@ namespace {
 using namespace simdts;
 
 /// Random busy/idle occupancy (complementary, like a live machine) as byte
-/// planes plus their packed equivalents.
+/// planes plus their packed equivalents and occupancy summaries.
 struct Occupancy {
   std::vector<std::uint8_t> busy;
   std::vector<std::uint8_t> idle;
   simd::BitPlane busy_plane;
   simd::BitPlane idle_plane;
+  simd::SummaryPlane busy_summary;
+  simd::SummaryPlane idle_summary;
 };
 
 Occupancy make_occupancy(std::size_t p, std::uint32_t seed,
@@ -45,6 +48,10 @@ Occupancy make_occupancy(std::size_t p, std::uint32_t seed,
     o.busy_plane.set(i, o.busy[i] != 0);
     o.idle_plane.set(i, o.idle[i] != 0);
   }
+  o.busy_summary.assign_for_lanes(p);
+  o.idle_summary.assign_for_lanes(p);
+  o.busy_summary.rebuild(o.busy_plane);
+  o.idle_summary.rebuild(o.idle_plane);
   return o;
 }
 
@@ -116,36 +123,18 @@ void BM_InclusiveScan(benchmark::State& state) {
 }
 BENCHMARK(BM_InclusiveScan)->Arg(1 << 10)->Arg(1 << 13)->Arg(1 << 16);
 
-void BM_Rendezvous(benchmark::State& state) {
-  const auto p = static_cast<std::size_t>(state.range(0));
-  const Occupancy o = make_occupancy(p, 99, 7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simd::rendezvous(o.busy, o.idle, 17));
-  }
-}
-BENCHMARK(BM_Rendezvous)->Arg(1 << 10)->Arg(1 << 13);
-
 void BM_RendezvousBitPlane(benchmark::State& state) {
   const auto p = static_cast<std::size_t>(state.range(0));
   const Occupancy o = make_occupancy(p, 99, 7);
   std::vector<simd::Pair> pairs;
   for (auto _ : state) {
-    simd::rendezvous_into(o.busy_plane, o.idle_plane, 17,
-                          static_cast<std::size_t>(-1), pairs);
+    simd::rendezvous_into(o.busy_plane, o.busy_summary, o.idle_plane,
+                          o.idle_summary, 17, static_cast<std::size_t>(-1),
+                          pairs);
     benchmark::DoNotOptimize(pairs.data());
   }
 }
 BENCHMARK(BM_RendezvousBitPlane)->Arg(1 << 10)->Arg(1 << 13);
-
-void BM_GpMatchPhase(benchmark::State& state) {
-  const auto p = static_cast<std::size_t>(state.range(0));
-  const Occupancy o = make_occupancy(p, 42, 8);
-  lb::Matcher matcher(lb::MatchScheme::kGP);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(matcher.match(o.busy, o.idle));
-  }
-}
-BENCHMARK(BM_GpMatchPhase)->Arg(1 << 13);
 
 void BM_GpMatchPhaseBitPlane(benchmark::State& state) {
   const auto p = static_cast<std::size_t>(state.range(0));
@@ -153,18 +142,18 @@ void BM_GpMatchPhaseBitPlane(benchmark::State& state) {
   lb::Matcher matcher(lb::MatchScheme::kGP);
   std::vector<simd::Pair> pairs;
   for (auto _ : state) {
-    matcher.match_into(o.busy_plane, o.idle_plane,
-                       static_cast<std::size_t>(-1), pairs);
+    matcher.match_into(o.busy_plane, o.busy_summary, o.idle_plane,
+                       o.idle_summary, static_cast<std::size_t>(-1), pairs);
     benchmark::DoNotOptimize(pairs.data());
   }
 }
 BENCHMARK(BM_GpMatchPhaseBitPlane)->Arg(1 << 13);
 
 // --- Bit-plane substrate vs byte-plane scalar reference -------------------
-// The engine's per-cycle bookkeeping is census (how many PEs are busy),
-// enumeration (sum-scan the idle plane into compacted indices), and ring
-// pairing.  Each packed kernel is benchmarked against the byte kernel it
-// displaced, on the same occupancy.
+// The engine's per-cycle bookkeeping is census (how many PEs are busy) and
+// enumeration (sum-scan the idle plane into compacted indices).  Each packed
+// kernel is benchmarked against the byte kernel it displaced, on the same
+// occupancy.
 
 void BM_CensusBytes(benchmark::State& state) {
   const auto p = static_cast<std::size_t>(state.range(0));
@@ -228,21 +217,13 @@ BENCHMARK(BM_EnumerateBitPlane)
     ->Args({1 << 14, 7})
     ->Args({1 << 14, 1});
 
-void BM_NeighborPairsBytes(benchmark::State& state) {
-  const auto p = static_cast<std::size_t>(state.range(0));
-  const Occupancy o = make_occupancy(p, 21, 5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(lb::neighbor_pairs(o.busy, o.idle));
-  }
-}
-BENCHMARK(BM_NeighborPairsBytes)->Arg(1 << 13);
-
 void BM_NeighborPairsBitPlane(benchmark::State& state) {
   const auto p = static_cast<std::size_t>(state.range(0));
   const Occupancy o = make_occupancy(p, 21, 5);
   std::vector<simd::Pair> pairs;
   for (auto _ : state) {
-    lb::neighbor_pairs_into(o.busy_plane, o.idle_plane, pairs);
+    lb::neighbor_pairs_into(o.busy_plane, o.busy_summary, o.idle_plane,
+                            pairs);
     benchmark::DoNotOptimize(pairs.data());
   }
 }
@@ -254,9 +235,8 @@ BENCHMARK(BM_NeighborPairsBitPlane)->Arg(1 << 13);
 // time inside tree.expand, and the staging difference is a handful of
 // memory-bound node copies per expansion, so they time within noise of each
 // other (~1.0x).  The batched path is shipped because the single run-append
-// amortizes the stack's bounds/ownership checks and is the shape the
-// vector backend's batch expansion needs — not because this microbenchmark
-// shows a win.
+// amortizes the stack's bounds/ownership checks — not because this
+// microbenchmark shows a win.
 void BM_ChildStagingPerNode(benchmark::State& state) {
   const synthetic::Tree tree(synthetic::Params{5, 4, 0.38, 30});
   search::WorkStack<synthetic::Tree::Node> stack;

@@ -12,9 +12,10 @@
 //     incremental census, matching, transfers).
 //   - fault hooks: the engine with an *empty* FaultPlan armed, timed
 //     interleaved with unarmed runs so clock drift hits both sides equally.
-//   - kernels: byte-plane vs packed bit-plane census / enumerate / GP match
-//     / neighbor pairing, and per-node vs batched child staging — the
-//     microscopic ingredients of the engine number above.
+//   - kernels: byte-plane vs packed bit-plane census / enumerate, the naive
+//     test reference vs the production (summary-aware) GP match / neighbor
+//     pairing, and per-node vs batched child staging — the microscopic
+//     ingredients of the engine number above.
 //   - service: a fixed mixed request trace replayed through the solve
 //     service at 1/2/8 host threads — wall qps per thread count, plus the
 //     deterministic service metrics (p99 simulated-cycle latency, shed
@@ -49,6 +50,7 @@
 #include "lb/matching.hpp"
 #include "puzzle/fifteen.hpp"
 #include "puzzle/workloads.hpp"
+#include "reference/lb_kernels.hpp"
 #include "runtime/sweep.hpp"
 #include "sanitizer/sanitizer.hpp"
 #include "search/compact_stack.hpp"
@@ -59,7 +61,6 @@
 #include "simd/scan.hpp"
 #include "simd/summary.hpp"
 #include "synthetic/tree.hpp"
-#include "vec/expand.hpp"
 
 namespace {
 
@@ -104,7 +105,9 @@ std::string format_json_double(double v) {
 // --- Kernel micro-timings ---------------------------------------------------
 
 /// One timed kernel comparison: scalar (byte-plane) vs packed (bit-plane)
-/// median nanoseconds per call on the same occupancy pattern.
+/// median nanoseconds per call on the same occupancy pattern.  For the lb
+/// primitives the scalar side is the naive test reference and the packed
+/// side the production kernel the engine calls.
 struct KernelSample {
   const char* name;
   double scalar_ns = 0.0;
@@ -167,7 +170,8 @@ std::vector<KernelSample> run_kernel_benchmarks(unsigned reps,
   std::vector<std::uint8_t> idle(lanes);
   for (std::size_t i = 0; i < lanes; ++i) idle[i] = busy[i] != 0 ? 0 : 1;
   const simd::BitPlane busy_plane = pack(busy);
-  const simd::BitPlane idle_plane = pack(idle);
+  const reference::PackedFlags busy_packed(busy);
+  const reference::PackedFlags idle_packed(idle);
   const std::size_t iters = analysis::quick_mode() ? 4000 : 20000;
 
   std::vector<KernelSample> out;
@@ -198,28 +202,29 @@ std::vector<KernelSample> run_kernel_benchmarks(unsigned reps,
   // call walk a different segment, like successive lb phases.
   const std::size_t match_iters = iters / 4;
   std::vector<simd::Pair> pairs;
-  lb::Matcher scalar_matcher(lb::MatchScheme::kGP);
+  reference::Matcher reference_matcher(lb::MatchScheme::kGP);
   KernelSample match{"gp_match"};
   match.scalar_ns = time_kernel_ns(reps, match_iters, sink, [&] {
-    scalar_matcher.match_into(busy, idle, static_cast<std::size_t>(-1),
-                              pairs);
-    return static_cast<std::uint64_t>(pairs.size());
+    return static_cast<std::uint64_t>(
+        reference_matcher.match(busy, idle).size());
   });
-  lb::Matcher packed_matcher(lb::MatchScheme::kGP);
+  lb::Matcher matcher(lb::MatchScheme::kGP);
   match.packed_ns = time_kernel_ns(reps, match_iters, sink, [&] {
-    packed_matcher.match_into(busy_plane, idle_plane,
-                              static_cast<std::size_t>(-1), pairs);
+    matcher.match_into(busy_packed.plane, busy_packed.summary,
+                       idle_packed.plane, idle_packed.summary,
+                       static_cast<std::size_t>(-1), pairs);
     return static_cast<std::uint64_t>(pairs.size());
   });
   out.push_back(match);
 
   KernelSample neighbor{"neighbor_pairs"};
   neighbor.scalar_ns = time_kernel_ns(reps, match_iters, sink, [&] {
-    lb::neighbor_pairs_into(busy, idle, pairs);
-    return static_cast<std::uint64_t>(pairs.size());
+    return static_cast<std::uint64_t>(
+        reference::neighbor_pairs(busy, idle).size());
   });
   neighbor.packed_ns = time_kernel_ns(reps, match_iters, sink, [&] {
-    lb::neighbor_pairs_into(busy_plane, idle_plane, pairs);
+    lb::neighbor_pairs_into(busy_packed.plane, busy_packed.summary,
+                            idle_packed.plane, pairs);
     return static_cast<std::uint64_t>(pairs.size());
   });
   out.push_back(neighbor);
@@ -271,52 +276,6 @@ std::vector<KernelSample> run_kernel_benchmarks(unsigned reps,
 
   return out;
 }
-
-#ifdef SIMDTS_VECTOR_BACKEND
-
-/// Median ns per 64-node batch: scalar fallback vs SIMD batch kernel on the
-/// same breadth-first node pool.  Both sides run the identical node stream
-/// (rotating 64-node windows), so the ratio is the kernel's own win.
-template <typename P>
-std::pair<double, double> time_batch_expand(const P& problem, unsigned reps,
-                                            std::size_t iters,
-                                            std::uint64_t& sink) {
-  std::vector<typename P::Node> pool;
-  std::vector<typename P::Node> frontier{problem.root()};
-  search::NextBound nb;
-  while (pool.size() < 4096 && !frontier.empty()) {
-    std::vector<typename P::Node> next;
-    for (const auto& n : frontier) {
-      pool.push_back(n);
-      problem.expand(n, search::kUnbounded, next, nb);
-    }
-    frontier = std::move(next);
-  }
-  constexpr std::uint32_t kBatch = 64;
-  while (pool.size() < kBatch) pool.push_back(problem.root());
-  const std::size_t span = pool.size() - kBatch + 1;
-  std::vector<typename P::Node> out;
-  std::vector<std::uint32_t> counts(kBatch);
-  std::size_t pos = 0;
-  const double scalar_ns = time_kernel_ns(reps, iters, sink, [&] {
-    out.clear();
-    search::expand_batch_fallback(problem, pool.data() + pos, kBatch,
-                                  search::kUnbounded, out, counts.data(), nb);
-    pos = (pos + kBatch) % span;
-    return static_cast<std::uint64_t>(out.size());
-  });
-  pos = 0;
-  const double vector_ns = time_kernel_ns(reps, iters, sink, [&] {
-    out.clear();
-    vec::BatchExpander<P>::expand(problem, pool.data() + pos, kBatch,
-                                  search::kUnbounded, out, counts.data(), nb);
-    pos = (pos + kBatch) % span;
-    return static_cast<std::uint64_t>(out.size());
-  });
-  return {scalar_ns, vector_ns};
-}
-
-#endif  // SIMDTS_VECTOR_BACKEND
 
 }  // namespace
 
@@ -535,116 +494,7 @@ int main() {
 
   std::uint64_t sink = 0;
 
-  // --- Vector backend: build-flavor gate + scalar-vs-vector equality. -----
-  // Same two-sided contract as the sanitizer: the default build must NOT
-  // contain the backend (CI's default perf smoke runs without
-  // SIMDTS_EXPECT_VECTOR and hard-fails if the backend leaked in), the
-  // x86-64-v3 job sets SIMDTS_EXPECT_VECTOR=1 and hard-fails if it is
-  // missing.  When present, the scalar engine stays the reference: a vector
-  // run whose IterationStats differ from the scalar run is a FATAL error,
-  // never a reported speedup.
-  const char* expect_vec_env = std::getenv("SIMDTS_EXPECT_VECTOR");
-  const bool expect_vector = expect_vec_env != nullptr &&
-                             expect_vec_env[0] != '\0' &&
-                             expect_vec_env[0] != '0';
-  if (vec::kCompiledIn != expect_vector) {
-    std::cout << "\nFATAL: vector backend compiled_in="
-              << (vec::kCompiledIn ? "true" : "false") << " but this run "
-              << (expect_vector
-                      ? "expected a SIMDTS_VECTOR_BACKEND=ON build "
-                        "(SIMDTS_EXPECT_VECTOR is set)."
-                      : "expected the default build — the backend leaked in "
-                        "and -march=x86-64-v3 codegen would contaminate "
-                        "every number in this report.")
-              << "\n";
-    return 1;
-  }
-  double vec_scalar_wall = 0.0;
-  double vec_vector_wall = 0.0;
-  double vec_tree_scalar_ns = 0.0;
-  double vec_tree_vector_ns = 0.0;
-  double vec_fifteen_scalar_ns = 0.0;
-  double vec_fifteen_vector_ns = 0.0;
-#ifdef SIMDTS_VECTOR_BACKEND
-  {
-    const synthetic::Tree tree(big.params);
-    lb::IterationStats scalar_ref;
-    std::vector<double> scalar_walls;
-    std::vector<double> vector_walls;
-    bool vec_identical = true;
-    for (unsigned rep = 0; rep < reps; ++rep) {
-      simd::Machine scalar_machine(sizes.back(), cost);
-      lb::Engine<synthetic::Tree> scalar_engine(tree, scalar_machine, cfg);
-      auto start = Clock::now();
-      const lb::IterationStats scalar_stats =
-          scalar_engine.run_iteration(search::kUnbounded);
-      scalar_walls.push_back(seconds_since(start));
-      if (rep == 0) {
-        scalar_ref = scalar_stats;
-      } else if (!(scalar_stats == scalar_ref)) {
-        vec_identical = false;
-      }
-
-      simd::Machine vector_machine(sizes.back(), cost);
-      lb::Engine<synthetic::Tree> vector_engine(tree, vector_machine, cfg);
-      vector_engine.set_backend(lb::ExecBackend::kVector);
-      start = Clock::now();
-      const lb::IterationStats vector_stats =
-          vector_engine.run_iteration(search::kUnbounded);
-      vector_walls.push_back(seconds_since(start));
-      if (!(vector_stats == scalar_ref)) vec_identical = false;
-    }
-    if (!vec_identical) {
-      std::cout << "\nFATAL: the vector backend changed the simulated "
-                   "results — a speedup obtained by changing the answer is "
-                   "a bug, not a result.\n";
-      return 1;
-    }
-    vec_scalar_wall = median(std::move(scalar_walls));
-    vec_vector_wall = median(std::move(vector_walls));
-    std::cout << "vector backend (SIMDTS_VECTOR_BACKEND=ON build): engine "
-              << analysis::format_double(vec_vector_wall, 3) << " s vs "
-              << analysis::format_double(vec_scalar_wall, 3)
-              << " s scalar (interleaved), speedup "
-              << analysis::format_double(
-                     vec_vector_wall > 0.0 ? vec_scalar_wall / vec_vector_wall
-                                           : 0.0,
-                     2)
-              << "x, results bit-identical\n";
-
-    const std::size_t batch_iters = analysis::quick_mode() ? 2000 : 10000;
-    std::tie(vec_tree_scalar_ns, vec_tree_vector_ns) =
-        time_batch_expand(tree, reps, batch_iters, sink);
-    const puzzle::FifteenPuzzle fifteen(puzzle::random_walk(7, 80));
-    std::tie(vec_fifteen_scalar_ns, vec_fifteen_vector_ns) =
-        time_batch_expand(fifteen, reps, batch_iters, sink);
-    std::cout << "  batch expand (64-node batches, median ns/batch, scalar "
-                 "vs vector):\n"
-              << "    tree: "
-              << analysis::format_double(vec_tree_scalar_ns, 0) << " -> "
-              << analysis::format_double(vec_tree_vector_ns, 0) << " ns ("
-              << analysis::format_double(
-                     vec_tree_vector_ns > 0.0
-                         ? vec_tree_scalar_ns / vec_tree_vector_ns
-                         : 0.0,
-                     2)
-              << "x)\n"
-              << "    fifteen: "
-              << analysis::format_double(vec_fifteen_scalar_ns, 0) << " -> "
-              << analysis::format_double(vec_fifteen_vector_ns, 0) << " ns ("
-              << analysis::format_double(
-                     vec_fifteen_vector_ns > 0.0
-                         ? vec_fifteen_scalar_ns / vec_fifteen_vector_ns
-                         : 0.0,
-                     2)
-              << "x)\n\n";
-  }
-#else
-  std::cout << "vector backend: not compiled in (default build) — absence "
-               "held by lint.vector_backend_symbols\n\n";
-#endif
-
-  // --- Substrate kernels: byte plane vs packed bit plane. -----------------
+  // --- Substrate kernels: byte plane / reference vs packed production. ----
   const std::size_t kernel_lanes = 1 << 14;
   const std::vector<KernelSample> kernels =
       run_kernel_benchmarks(reps, kernel_lanes, sink);
@@ -765,11 +615,10 @@ int main() {
   // than entries.
   //
   // lb_phase: a rendezvous phase on a sparse plane (1024 busy + 1024 idle
-  // lanes scattered over P) timed flat — every plane word loaded, O(P/64) —
-  // versus hierarchical, which hops between occupied words via the summary
-  // plane, O(occupied + P/4096).  Pair sequences are asserted identical
-  // before timing (FATAL if not): the speedup must come from skipping
-  // provably-zero words, never from changing the matching.
+  // lanes scattered over P) through the production kernel, which hops
+  // between occupied words via the summary plane, O(occupied + P/4096).
+  // Its pair sequence is asserted identical to the naive byte-plane test
+  // reference before timing (FATAL if not).
   const std::size_t descent_steps =
       analysis::quick_mode() ? 4000 : 16000;
   double mega_full_avg = 0.0;
@@ -850,7 +699,6 @@ int main() {
     std::uint32_t p = 0;
     double engine_full_avg = 0.0;    ///< aggregate B/lane, full-Node stacks
     double engine_compact_avg = 0.0; ///< aggregate B/lane, compact stacks
-    double flat_ns = 0.0;            ///< flat rendezvous, ns/phase
     double hier_ns = 0.0;            ///< summary-hopping rendezvous, ns/phase
   };
   std::vector<MegaSample> mega_samples_by_p;
@@ -894,16 +742,21 @@ int main() {
       idle_summary.assign_for_lanes(p);
       busy_summary.rebuild(busy_plane);
       idle_summary.rebuild(idle_plane);
-      std::vector<simd::Pair> flat_pairs;
+      std::vector<std::uint8_t> busy_bytes(p);
+      std::vector<std::uint8_t> idle_bytes(p);
+      for (std::uint32_t i = 0; i < p; ++i) {
+        busy_bytes[i] = busy_plane.test(i) ? 1 : 0;
+        idle_bytes[i] = idle_plane.test(i) ? 1 : 0;
+      }
+      const std::vector<simd::Pair> ref_pairs =
+          reference::rendezvous(busy_bytes, idle_bytes);
       std::vector<simd::Pair> hier_pairs;
-      simd::rendezvous_into(busy_plane, idle_plane, simd::kNoPe,
-                            static_cast<std::size_t>(-1), flat_pairs);
       simd::rendezvous_into(busy_plane, busy_summary, idle_plane,
                             idle_summary, simd::kNoPe,
                             static_cast<std::size_t>(-1), hier_pairs);
-      if (flat_pairs != hier_pairs || flat_pairs.empty()) {
+      if (ref_pairs != hier_pairs || ref_pairs.empty()) {
         std::cout << "\nFATAL: hierarchical rendezvous diverged from the "
-                     "flat kernel at P = " << p << ".\n";
+                     "test reference at P = " << p << ".\n";
         return 1;
       }
       // Same total word budget per size so each timing runs long enough to
@@ -911,11 +764,6 @@ int main() {
       const std::size_t phase_iters = std::max<std::size_t>(
           32, (analysis::quick_mode() ? (1u << 22) : (1u << 25)) / p);
       std::vector<simd::Pair> pairs_buf;
-      ms.flat_ns = time_kernel_ns(reps, phase_iters, sink, [&] {
-        simd::rendezvous_into(busy_plane, idle_plane, simd::kNoPe,
-                              static_cast<std::size_t>(-1), pairs_buf);
-        return static_cast<std::uint64_t>(pairs_buf.size());
-      });
       ms.hier_ns = time_kernel_ns(reps, phase_iters, sink, [&] {
         simd::rendezvous_into(busy_plane, busy_summary, idle_plane,
                               idle_summary, simd::kNoPe,
@@ -933,11 +781,7 @@ int main() {
                            : 0.0,
                        2)
                 << "x); sparse lb phase "
-                << analysis::format_double(ms.flat_ns, 0) << " -> "
-                << analysis::format_double(ms.hier_ns, 0) << " ns ("
-                << analysis::format_double(
-                       ms.hier_ns > 0.0 ? ms.flat_ns / ms.hier_ns : 0.0, 1)
-                << "x)\n";
+                << analysis::format_double(ms.hier_ns, 0) << " ns\n";
     }
   }
 
@@ -983,33 +827,6 @@ int main() {
          << ", \"armed_wall_s\": " << format_json_double(san_armed_wall)
          << ", \"overhead_pct\": " << format_json_double(san_overhead_pct)
          << ", \"results_identical\": true";
-  }
-  json << "},\n"
-       << "  \"vector_backend\": {\"compiled_in\": "
-       << (vec::kCompiledIn ? "true" : "false");
-  if (vec::kCompiledIn) {
-    json << ", \"engine_scalar_wall_s\": "
-         << format_json_double(vec_scalar_wall)
-         << ", \"engine_vector_wall_s\": "
-         << format_json_double(vec_vector_wall) << ", \"engine_speedup\": "
-         << format_json_double(vec_vector_wall > 0.0
-                                   ? vec_scalar_wall / vec_vector_wall
-                                   : 0.0)
-         << ", \"results_identical\": true, \"batch_expand\": {"
-         << "\"tree\": {\"scalar_ns\": "
-         << format_json_double(vec_tree_scalar_ns) << ", \"vector_ns\": "
-         << format_json_double(vec_tree_vector_ns) << ", \"speedup\": "
-         << format_json_double(vec_tree_vector_ns > 0.0
-                                   ? vec_tree_scalar_ns / vec_tree_vector_ns
-                                   : 0.0)
-         << "}, \"fifteen\": {\"scalar_ns\": "
-         << format_json_double(vec_fifteen_scalar_ns) << ", \"vector_ns\": "
-         << format_json_double(vec_fifteen_vector_ns) << ", \"speedup\": "
-         << format_json_double(
-                vec_fifteen_vector_ns > 0.0
-                    ? vec_fifteen_scalar_ns / vec_fifteen_vector_ns
-                    : 0.0)
-         << "}}";
   }
   json << "},\n"
        << "  \"service\": {\"requests\": " << svc_n << ", \"runs\": [\n";
@@ -1061,14 +878,11 @@ int main() {
          << format_json_double(m.engine_compact_avg > 0.0
                                    ? m.engine_full_avg / m.engine_compact_avg
                                    : 0.0)
-         << ", \"lb_phase_flat_ns\": " << format_json_double(m.flat_ns)
          << ", \"lb_phase_hier_ns\": " << format_json_double(m.hier_ns)
-         << ", \"lb_phase_speedup\": "
-         << format_json_double(m.hier_ns > 0.0 ? m.flat_ns / m.hier_ns : 0.0)
          << "}" << (i + 1 < mega_samples_by_p.size() ? "," : "") << "\n";
   }
   json << "    ],\n"
-       << "    \"pairs_identical_flat_vs_hier\": true\n"
+       << "    \"pairs_identical_ref_vs_hier\": true\n"
        << "  }\n"
        << "}\n";
 

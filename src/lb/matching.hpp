@@ -11,8 +11,7 @@
 // donation burden, and V(P) drops to 1/(1-x).
 #pragma once
 
-#include <cstdint>
-#include <span>
+#include <cstddef>
 #include <vector>
 
 #include "lb/config.hpp"
@@ -24,33 +23,15 @@ class Matcher {
  public:
   explicit Matcher(MatchScheme scheme) : scheme_(scheme) {}
 
-  /// Produces min(#busy, #idle, limit) donor->receiver pairs.  For GP,
-  /// advances the global pointer to the last donor of this call.  The limit
-  /// exists for the FESS baseline, which serves a single idle processor per
-  /// phase; it is pushed down into the rendezvous walk, so a small limit
-  /// never materializes (then truncates) the full pair enumeration.
-  [[nodiscard]] std::vector<simd::Pair> match(
-      std::span<const std::uint8_t> busy_flags,
-      std::span<const std::uint8_t> idle_flags,
-      std::size_t limit = static_cast<std::size_t>(-1));
-
-  /// As match(), but fills a caller-owned buffer (cleared first) so the
-  /// engine can reuse its capacity across load-balancing rounds.
-  void match_into(std::span<const std::uint8_t> busy_flags,
-                  std::span<const std::uint8_t> idle_flags, std::size_t limit,
-                  std::vector<simd::Pair>& out);
-
-  /// Packed-plane match: identical pair sequence and pointer advance as the
-  /// byte-plane overload on the same occupancy pattern, but the enumerations
-  /// are word-level popcount/countr_zero walks (the engine's hot path).
-  void match_into(const simd::BitPlane& busy_flags,
-                  const simd::BitPlane& idle_flags, std::size_t limit,
-                  std::vector<simd::Pair>& out);
-
-  /// Summary-aware match: as the packed overload (identical pair sequence and
-  /// pointer advance), but both enumerations hop between occupied words via
-  /// the planes' summaries, so a sparse round costs O(occupied words) instead
-  /// of O(P/64) — the mega-P load-balancing path.
+  /// Fills `out` (cleared first, capacity reused across rounds) with
+  /// min(#busy, #idle, limit) donor->receiver pairs; for GP, advances the
+  /// global pointer to the last donor of this call.  The limit exists for
+  /// the FESS baseline, which serves a single idle processor per phase; it
+  /// is pushed down into the rendezvous walk, so a small limit never
+  /// materializes (then truncates) the full pair enumeration.  Both
+  /// enumerations hop between occupied words via the planes' summaries
+  /// (simd::rendezvous_into), so a sparse round costs O(occupied words)
+  /// instead of O(P/64).
   void match_into(const simd::BitPlane& busy_flags,
                   const simd::SummaryPlane& busy_summary,
                   const simd::BitPlane& idle_flags,
@@ -74,27 +55,11 @@ class Matcher {
 
 /// Ring nearest-neighbour pairing: PE i donates to PE i+1 (mod P) when i is
 /// busy and i+1 is idle.  Decisions are taken on the snapshot flags, as on a
-/// lock-step machine.
-[[nodiscard]] std::vector<simd::Pair> neighbor_pairs(
-    std::span<const std::uint8_t> busy_flags,
-    std::span<const std::uint8_t> idle_flags);
-
-/// As neighbor_pairs(), but fills a caller-owned buffer (cleared first).
-void neighbor_pairs_into(std::span<const std::uint8_t> busy_flags,
-                         std::span<const std::uint8_t> idle_flags,
-                         std::vector<simd::Pair>& out);
-
-/// Packed-plane ring pairing: the pair plane is busy AND (idle rotated one
-/// lane toward lower indices), computed one word at a time — a funnel shift
-/// per word instead of a per-lane walk.  Pair order matches the byte-plane
-/// overload exactly.
-void neighbor_pairs_into(const simd::BitPlane& busy_flags,
-                         const simd::BitPlane& idle_flags,
-                         std::vector<simd::Pair>& out);
-
-/// Summary-aware ring pairing: identical pair sequence to the packed overload,
-/// but only busy-summary-occupied words are visited (a word with no busy lane
-/// contributes no pairs regardless of the idle plane).
+/// lock-step machine.  Fills `out` (cleared first) in PE-index order.  The
+/// pair plane is busy AND (idle rotated one lane toward lower indices),
+/// computed one word at a time — a funnel shift per word instead of a
+/// per-lane walk — and only busy-summary-occupied words are visited (a word
+/// with no busy lane contributes no pairs regardless of the idle plane).
 void neighbor_pairs_into(const simd::BitPlane& busy_flags,
                          const simd::SummaryPlane& busy_summary,
                          const simd::BitPlane& idle_flags,

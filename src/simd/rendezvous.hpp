@@ -8,8 +8,8 @@
 // between the two schemes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "simd/bitplane.hpp"
@@ -41,66 +41,27 @@ struct Pair {
 /// matching: when idle processors outnumber busy ones only the first A idle
 /// processors receive work, and vice versa).  The walk stops as soon as
 /// `limit` pairs are emitted, so a small limit (the FESS baseline serves one
-/// idle PE per phase) never materializes the full enumeration.
-[[nodiscard]] std::vector<Pair> rendezvous(
-    std::span<const std::uint8_t> donor_flags,
-    std::span<const std::uint8_t> receiver_flags, PeIndex start_after = kNoPe,
-    std::size_t limit = static_cast<std::size_t>(-1));
-
-/// As rendezvous(), but appends into a caller-owned buffer (cleared first) so
-/// hot loops can reuse its capacity across rounds.
-void rendezvous_into(std::span<const std::uint8_t> donor_flags,
-                     std::span<const std::uint8_t> receiver_flags,
-                     PeIndex start_after, std::size_t limit,
-                     std::vector<Pair>& out);
-
-/// The set PEs of `flags` in enumeration order: plain PE-index order, or —
-/// when `start_after != kNoPe` — starting at the first set PE strictly after
-/// `start_after` and wrapping around.  rendezvous() is rank-aligned zipping
-/// of two such enumerations.
-[[nodiscard]] std::vector<PeIndex> ranked(std::span<const std::uint8_t> flags,
-                                          PeIndex start_after = kNoPe);
-
-// --- Packed bit-plane kernels -----------------------------------------------
-//
-// Word-level versions of the walks above: the rotated enumeration visits one
-// std::uint64_t word per 64 lanes (clear words cost a single load + test) and
-// extracts set lanes with std::countr_zero.  Pair sequences are exactly those
-// of the byte-plane kernels on the same occupancy pattern — pinned by
-// tests/test_bitplane.cpp — so the engine can switch planes without moving a
-// single simulated result.
-
-/// As rendezvous_into() over byte planes, but over packed planes.
-void rendezvous_into(const BitPlane& donor_flags,
-                     const BitPlane& receiver_flags, PeIndex start_after,
-                     std::size_t limit, std::vector<Pair>& out);
-
-/// As ranked() over byte planes, but over a packed plane and into a
-/// caller-owned buffer (cleared first) so hot loops reuse its capacity.
-void ranked_into(const BitPlane& flags, PeIndex start_after,
-                 std::vector<PeIndex>& out);
-
-[[nodiscard]] std::vector<PeIndex> ranked(const BitPlane& flags,
-                                          PeIndex start_after = kNoPe);
-
-// --- Hierarchical (summary-aware) kernels -----------------------------------
-//
-// The flat packed walks above still load every plane word: O(P/64) per phase
-// regardless of occupancy.  These overloads consult a SummaryPlane (one bit
-// per plane word) to hop straight between occupied words, so a phase scales
-// with the number of occupied words, not with P — the common sparse case at
-// mega-P.  Outputs are bit-identical to the flat kernels on the same
-// occupancy pattern: a clear summary bit guarantees a zero word, so skipping
-// it cannot change the enumeration (pinned by tests/test_summary.cpp).
-
-/// As the packed rendezvous_into(), hopping via each plane's summary.
+/// idle PE per phase) never materializes the full enumeration.  Pairs are
+/// appended into a caller-owned buffer (cleared first) so hot loops can reuse
+/// its capacity across rounds.
+///
+/// Both enumerations are word-level walks over the packed planes that hop
+/// between occupied words via each plane's SummaryPlane (one bit per plane
+/// word), so a phase costs O(occupied words + P/4096) rather than O(P): a
+/// clear summary bit guarantees a zero word, so skipping it cannot change
+/// the enumeration.  tests/test_lb_kernels.cpp pins the output to the naive
+/// byte-plane reference in tests/reference/lb_kernels.hpp.
 void rendezvous_into(const BitPlane& donor_flags,
                      const SummaryPlane& donor_summary,
                      const BitPlane& receiver_flags,
                      const SummaryPlane& receiver_summary, PeIndex start_after,
                      std::size_t limit, std::vector<Pair>& out);
 
-/// As the packed ranked_into(), hopping via the plane's summary.
+/// The set PEs of `flags` in enumeration order, into a caller-owned buffer
+/// (cleared first): plain PE-index order, or — when `start_after != kNoPe` —
+/// starting at the first set PE strictly after `start_after` and wrapping
+/// around.  rendezvous_into() is rank-aligned zipping of two such
+/// enumerations.  Hops between occupied words like rendezvous_into().
 void ranked_into(const BitPlane& flags, const SummaryPlane& summary,
                  PeIndex start_after, std::vector<PeIndex>& out);
 

@@ -15,12 +15,12 @@
 //    writes a plane word refreshes its summary bit (BitPlane's zero-tail
 //    invariant holds at both levels).
 //  - A summary consumer may rely on: bit w clear  =>  plane word w == 0.
-//    Summary-aware kernels therefore produce bit-identical output to their
-//    flat counterparts by construction; the property tests in
-//    tests/test_summary.cpp pin this across random planes, and under
-//    SIMDTS_SANITIZE the engine's per-cycle sweep re-verifies every summary
-//    against a recomputation (the census-divergence check extended to the
-//    summary level).
+//    Summary-aware kernels therefore produce bit-identical output to a
+//    plain per-lane walk by construction; tests/test_lb_kernels.cpp pins
+//    the lb kernels to a naive byte-plane reference across random planes,
+//    and under SIMDTS_SANITIZE the engine's per-cycle sweep re-verifies
+//    every summary against a recomputation (the census-divergence check
+//    extended to the summary level).
 //  - Under host threading the engine aligns its word partition to 64-word
 //    blocks (ThreadPool::parallel_for_lanes_aligned), so a summary word has
 //    exactly one writer per cycle.

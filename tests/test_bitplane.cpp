@@ -1,10 +1,9 @@
-// Property tests for the packed bit-plane substrate: every packed kernel
-// (census, enumerate, k-th-set selection, rotated ranking, rendezvous,
-// matching, ring pairing) must agree *exactly* with the byte-plane scalar
-// reference on the same occupancy pattern — including non-multiple-of-64
-// machine sizes and planes with fault-killed lanes masked out.  The engine
-// switched planes on the strength of this equivalence; these tests are what
-// pins it.
+// Property tests for the packed bit-plane substrate: every packed scan
+// kernel (census, enumerate, k-th-set selection) must agree *exactly* with
+// the byte-plane scalar reference on the same occupancy pattern — including
+// non-multiple-of-64 machine sizes.  The load-balancing kernels built on the
+// planes (ranking, rendezvous, matching, ring pairing) have their own
+// reference-vs-production suite in tests/test_lb_kernels.cpp.
 #include "simd/bitplane.hpp"
 
 #include <gtest/gtest.h>
@@ -13,8 +12,8 @@
 #include <random>
 #include <vector>
 
-#include "lb/config.hpp"
 #include "lb/matching.hpp"
+#include "reference/lb_kernels.hpp"
 #include "simd/rendezvous.hpp"
 #include "simd/scan.hpp"
 
@@ -141,94 +140,6 @@ TEST(BitPlane, NthSetSelectsKthBusyPe) {
   }
 }
 
-TEST(BitPlane, RankedMatchesByteKernelWithAndWithoutRotation) {
-  for (const std::size_t n : kSizes) {
-    const auto bytes = random_bytes(n, 19u * static_cast<std::uint32_t>(n),
-                                    45);
-    const BitPlane plane = pack(bytes);
-    std::vector<PeIndex> starts = {kNoPe, 0,
-                                   static_cast<PeIndex>(n - 1),
-                                   static_cast<PeIndex>(n / 2)};
-    if (n > 64) starts.push_back(63);  // rotation across a word boundary
-    for (const PeIndex start : starts) {
-      EXPECT_EQ(ranked(plane, start), ranked(bytes, start))
-          << "n=" << n << " start=" << start;
-    }
-  }
-}
-
-TEST(BitPlane, RendezvousMatchesByteKernel) {
-  constexpr std::size_t kNoLimit = static_cast<std::size_t>(-1);
-  for (const std::size_t n : kSizes) {
-    const auto donors = random_bytes(n, 23u * static_cast<std::uint32_t>(n),
-                                     40);
-    const auto receivers = random_bytes(
-        n, 29u * static_cast<std::uint32_t>(n), 40);
-    const BitPlane donor_plane = pack(donors);
-    const BitPlane receiver_plane = pack(receivers);
-    std::vector<Pair> got;
-    for (const PeIndex start :
-         {kNoPe, PeIndex{0}, static_cast<PeIndex>(n / 2),
-          static_cast<PeIndex>(n - 1)}) {
-      for (const std::size_t limit : {std::size_t{0}, std::size_t{1},
-                                      std::size_t{3}, kNoLimit}) {
-        const std::vector<Pair> want =
-            rendezvous(donors, receivers, start, limit);
-        rendezvous_into(donor_plane, receiver_plane, start, limit, got);
-        EXPECT_EQ(got, want) << "n=" << n << " start=" << start
-                             << " limit=" << limit;
-      }
-    }
-  }
-}
-
-TEST(BitPlane, MatcherBitAndBytePlanesAgreeAcrossGpPhases) {
-  // Drive two Matchers — one fed byte planes, one fed packed planes — through
-  // a sequence of phases with evolving occupancy.  The pair sequences and the
-  // global-pointer trajectory must stay identical throughout, for both
-  // schemes.
-  for (const lb::MatchScheme scheme :
-       {lb::MatchScheme::kGP, lb::MatchScheme::kNGP}) {
-    for (const std::size_t n : {std::size_t{65}, std::size_t{200},
-                                std::size_t{1024}}) {
-      lb::Matcher byte_matcher(scheme);
-      lb::Matcher bit_matcher(scheme);
-      std::vector<Pair> want;
-      std::vector<Pair> got;
-      for (std::uint32_t phase = 0; phase < 12; ++phase) {
-        const auto busy = random_bytes(
-            n, 31u * static_cast<std::uint32_t>(n) + phase, 40);
-        auto idle = random_bytes(
-            n, 37u * static_cast<std::uint32_t>(n) + phase, 40);
-        for (std::size_t i = 0; i < n; ++i) {
-          if (busy[i] != 0) idle[i] = 0;  // a lane is never both
-        }
-        byte_matcher.match_into(busy, idle,
-                                static_cast<std::size_t>(-1), want);
-        bit_matcher.match_into(pack(busy), pack(idle),
-                               static_cast<std::size_t>(-1), got);
-        EXPECT_EQ(got, want) << "n=" << n << " phase=" << phase;
-        EXPECT_EQ(bit_matcher.pointer(), byte_matcher.pointer())
-            << "n=" << n << " phase=" << phase;
-      }
-    }
-  }
-}
-
-TEST(BitPlane, NeighborPairsMatchByteKernel) {
-  for (const std::size_t n : kSizes) {
-    const auto busy = random_bytes(n, 41u * static_cast<std::uint32_t>(n), 50);
-    auto idle = random_bytes(n, 43u * static_cast<std::uint32_t>(n), 50);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (busy[i] != 0) idle[i] = 0;
-    }
-    const std::vector<Pair> want = lb::neighbor_pairs(busy, idle);
-    std::vector<Pair> got;
-    lb::neighbor_pairs_into(pack(busy), pack(idle), got);
-    EXPECT_EQ(got, want) << "n=" << n;
-  }
-}
-
 TEST(BitPlane, NeighborPairsCrossWordAndWrapBoundaries) {
   // Donor in bit 63 of word 0, receiver in bit 0 of word 1; and the ring wrap
   // pair (P-1 -> 0).
@@ -239,44 +150,15 @@ TEST(BitPlane, NeighborPairsCrossWordAndWrapBoundaries) {
   idle[64] = 1;
   busy[n - 1] = 1;
   idle[0] = 1;
-  const std::vector<Pair> want = lb::neighbor_pairs(busy, idle);
+  const reference::PackedFlags busy_flags(busy);
+  const reference::PackedFlags idle_flags(idle);
   std::vector<Pair> got;
-  lb::neighbor_pairs_into(pack(busy), pack(idle), got);
-  ASSERT_EQ(got, want);
+  lb::neighbor_pairs_into(busy_flags.plane, busy_flags.summary,
+                          idle_flags.plane, got);
+  ASSERT_EQ(got, reference::neighbor_pairs(busy, idle));
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0], (Pair{63, 64}));
   EXPECT_EQ(got[1], (Pair{129, 0}));
-}
-
-TEST(BitPlane, KernelsAgreeWithFaultKilledLanes) {
-  // A dead-lane plane masks lanes out of busy/idle entirely (the engine
-  // clears a killed lane's bits in every plane).  The packed kernels must
-  // agree with the byte reference on such masked occupancy — including when
-  // whole words die.
-  const std::size_t n = 300;
-  auto busy = random_bytes(n, 47, 60);
-  auto idle = random_bytes(n, 53, 60);
-  std::vector<std::uint8_t> dead(n, 0);
-  for (std::size_t i = 64; i < 128; ++i) dead[i] = 1;  // a whole dead word
-  for (std::size_t i = 0; i < n; i += 7) dead[i] = 1;  // scattered deaths
-  for (std::size_t i = 0; i < n; ++i) {
-    if (dead[i] != 0) {
-      busy[i] = 0;
-      idle[i] = 0;
-    } else if (busy[i] != 0) {
-      idle[i] = 0;
-    }
-  }
-  const BitPlane busy_plane = pack(busy);
-  const BitPlane idle_plane = pack(idle);
-  EXPECT_EQ(busy_plane.count(), count_set(busy));
-  for (const PeIndex start : {kNoPe, PeIndex{70}, PeIndex{299}}) {
-    EXPECT_EQ(ranked(busy_plane, start), ranked(busy, start));
-    std::vector<Pair> got;
-    rendezvous_into(busy_plane, idle_plane, start,
-                    static_cast<std::size_t>(-1), got);
-    EXPECT_EQ(got, rendezvous(busy, idle, start));
-  }
 }
 
 }  // namespace

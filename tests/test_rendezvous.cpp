@@ -1,11 +1,37 @@
+// The rendezvous primitive on hand-built examples, run through the
+// production kernels (packed planes + summaries, as the engine calls them).
 #include "simd/rendezvous.hpp"
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "reference/lb_kernels.hpp"
+
 namespace simdts::simd {
 namespace {
+
+constexpr std::size_t kNoLimit = static_cast<std::size_t>(-1);
+
+std::vector<PeIndex> ranked(const std::vector<std::uint8_t>& flags,
+                            PeIndex start_after = kNoPe) {
+  const reference::PackedFlags f(flags);
+  std::vector<PeIndex> out;
+  ranked_into(f.plane, f.summary, start_after, out);
+  return out;
+}
+
+std::vector<Pair> rendezvous(const std::vector<std::uint8_t>& donors,
+                             const std::vector<std::uint8_t>& receivers,
+                             PeIndex start_after = kNoPe,
+                             std::size_t limit = kNoLimit) {
+  const reference::PackedFlags d(donors);
+  const reference::PackedFlags r(receivers);
+  std::vector<Pair> out;
+  rendezvous_into(d.plane, d.summary, r.plane, r.summary, start_after, limit,
+                  out);
+  return out;
+}
 
 TEST(Ranked, PlainOrder) {
   const std::vector<std::uint8_t> flags{1, 0, 1, 0, 1};
@@ -98,6 +124,16 @@ TEST(Rendezvous, RotationChangesDonorsNotReceivers) {
   ASSERT_EQ(rotated.size(), 2u);
   EXPECT_EQ(rotated[0], (Pair{2, 4}));
   EXPECT_EQ(rotated[1], (Pair{3, 5}));
+}
+
+TEST(Rendezvous, LimitStopsTheWalkEarly) {
+  // FESS serves one idle PE per phase: the limit truncates the pairing at
+  // the first ranks, and a zero limit pairs nothing.
+  const std::vector<std::uint8_t> donors{1, 1, 1, 0, 0, 0};
+  const std::vector<std::uint8_t> receivers{0, 0, 0, 1, 1, 1};
+  EXPECT_EQ(rendezvous(donors, receivers, 0, 1),
+            (std::vector<Pair>{Pair{1, 3}}));
+  EXPECT_TRUE(rendezvous(donors, receivers, kNoPe, 0).empty());
 }
 
 }  // namespace

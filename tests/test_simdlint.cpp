@@ -479,11 +479,7 @@ TEST(SimdlintIncludeGraph, ModuleRanksFormTheDocumentedDag) {
   EXPECT_LT(simdlint::module_rank("simd"), simdlint::module_rank("search"));
   EXPECT_LT(simdlint::module_rank("search"), simdlint::module_rank("fault"));
   EXPECT_LT(simdlint::module_rank("fault"), simdlint::module_rank("puzzle"));
-  // vec sits above the domains it batches and below the engine that
-  // dispatches to it.
-  EXPECT_LT(simdlint::module_rank("puzzle"), simdlint::module_rank("vec"));
-  EXPECT_LT(simdlint::module_rank("synthetic"), simdlint::module_rank("vec"));
-  EXPECT_LT(simdlint::module_rank("vec"), simdlint::module_rank("lb"));
+  EXPECT_LT(simdlint::module_rank("puzzle"), simdlint::module_rank("lb"));
   EXPECT_LT(simdlint::module_rank("lb"), simdlint::module_rank("baselines"));
   EXPECT_LT(simdlint::module_rank("baselines"),
             simdlint::module_rank("runtime"));

@@ -341,33 +341,6 @@ void check_schema(Checker& c, const Value& root) {
   if (const Value* s = c.need(root, "$", "sanitizer", Value::Kind::kObject))
     c.need(*s, "$.sanitizer", "compiled_in", Value::Kind::kBool);
 
-  if (const Value* vb =
-          c.need(root, "$", "vector_backend", Value::Kind::kObject)) {
-    const Value* in =
-        c.need(*vb, "$.vector_backend", "compiled_in", Value::Kind::kBool);
-    if (in && in->boolean) {
-      for (const char* key :
-           {"engine_scalar_wall_s", "engine_vector_wall_s", "engine_speedup"})
-        c.need_number(*vb, "$.vector_backend", key);
-      c.need_true(*vb, "$.vector_backend", "results_identical");
-      if (const Value* be = c.need(*vb, "$.vector_backend", "batch_expand",
-                                   Value::Kind::kObject)) {
-        if (be->object.empty())
-          c.fail("$.vector_backend.batch_expand", "must not be empty");
-        for (const auto& [name, dom] : be->object) {
-          const std::string path = "$.vector_backend.batch_expand." + name;
-          if (dom->kind != Value::Kind::kObject) {
-            c.fail(path, "must be an object");
-            continue;
-          }
-          for (const char* key : {"scalar_ns", "vector_ns", "speedup"})
-            c.need_number(*dom, path, key);
-          c.check_ratio(*dom, path, "scalar_ns", "vector_ns");
-        }
-      }
-    }
-  }
-
   if (const Value* sv = c.need(root, "$", "service", Value::Kind::kObject)) {
     c.need_number(*sv, "$.service", "requests");
     c.need_number(*sv, "$.service", "p99_sim_cycles");
@@ -422,7 +395,7 @@ void check_schema(Checker& c, const Value& root) {
         c.fail(path + ".ratio",
                "below the 4x the memory-bounded stacks are shipped for");
     }
-    c.need_true(*mp, "$.mega_p", "pairs_identical_flat_vs_hier");
+    c.need_true(*mp, "$.mega_p", "pairs_identical_ref_vs_hier");
     if (const Value* sizes =
             c.need(*mp, "$.mega_p", "sizes", Value::Kind::kArray)) {
       if (sizes->array.empty()) c.fail("$.mega_p.sizes", "must not be empty");
@@ -436,13 +409,10 @@ void check_schema(Checker& c, const Value& root) {
         }
         for (const char* key :
              {"p", "engine_full_avg_per_lane", "engine_compact_avg_per_lane",
-              "engine_ratio", "lb_phase_flat_ns", "lb_phase_hier_ns",
-              "lb_phase_speedup"})
+              "engine_ratio", "lb_phase_hier_ns"})
           c.need_number(m, path, key);
         c.check_ratio(m, path, "engine_full_avg_per_lane",
                       "engine_compact_avg_per_lane", "engine_ratio");
-        c.check_ratio(m, path, "lb_phase_flat_ns", "lb_phase_hier_ns",
-                      "lb_phase_speedup");
         const Value* p = m.find("p");
         if (p && p->kind == Value::Kind::kNumber) {
           if (p->number <= prev_p)

@@ -11,8 +11,8 @@
 //   2. calls are resolved across the whole parsed file set — qualified
 //      names by component-suffix match, member/bare calls by last name
 //      (explicit-receiver calls never resolve to the caller itself, so
-//      `problem.expand(...)` inside `BatchExpander::expand` is not fake
-//      recursion); unresolved calls fall back to intrinsic tables
+//      `cost_.lb_round_cost(p_)` inside `Machine::lb_round_cost` is not
+//      fake recursion); unresolved calls fall back to intrinsic tables
 //      (push_back/resize → allocates, fetch_add/wait → locks, ...) and are
 //      otherwise treated as effect-free (optimistic: external code is
 //      trusted, repo code is analyzed);

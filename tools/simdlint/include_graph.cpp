@@ -17,8 +17,8 @@ namespace {
 constexpr std::pair<const char*, int> kModuleRanks[] = {
     {"common", 0},   {"sanitizer", 1}, {"simd", 2},   {"search", 3},
     {"fault", 4},    {"synthetic", 5}, {"puzzle", 5}, {"queens", 5},
-    {"tsp", 5},      {"mimd", 5},      {"vec", 6},    {"lb", 7},
-    {"baselines", 8}, {"runtime", 9},  {"analysis", 10}, {"service", 10},
+    {"tsp", 5},      {"mimd", 5},      {"lb", 6},     {"baselines", 7},
+    {"runtime", 8},  {"analysis", 9},  {"service", 9},
     // Scoped entry for the standalone tooling: tools/ may depend on any
     // library layer, but no src/ module may ever include tools/ headers.
     {"tools", 99},
