@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -31,10 +32,11 @@
 namespace simdts::bench {
 
 /// The machine size for the headline tables: the paper's 8192, or 1024 in
-/// quick mode, or $SIMDTS_P.
+/// quick mode, or $SIMDTS_P (at most UINT32_MAX, the PE index range).
 inline std::uint32_t table_machine_size() {
   const std::uint64_t fallback = analysis::quick_mode() ? 1024 : 8192;
-  return static_cast<std::uint32_t>(analysis::env_u64("SIMDTS_P", fallback));
+  return static_cast<std::uint32_t>(analysis::env_u64(
+      "SIMDTS_P", fallback, std::numeric_limits<std::uint32_t>::max()));
 }
 
 /// The puzzle workloads for the headline tables (quick mode keeps the two

@@ -1,9 +1,9 @@
 // Micro-benchmarks of the substrate primitives (google-benchmark).
 //
 // These are not paper experiments; they document the cost of the pieces the
-// simulation is built from — node expansion, scans, matching — so that the
-// simulated cost model's ratio (t_lb / t_expand) can be put in context with
-// the emulator's actual host-side costs.
+// simulation is built from — node expansion, matching, ring pairing — so
+// that the simulated cost model's ratio (t_lb / t_expand) can be put in
+// context with the emulator's actual host-side costs.
 #include <benchmark/benchmark.h>
 
 #include <random>
@@ -15,7 +15,6 @@
 #include "search/work_stack.hpp"
 #include "simd/bitplane.hpp"
 #include "simd/rendezvous.hpp"
-#include "simd/scan.hpp"
 #include "simd/summary.hpp"
 #include "synthetic/tree.hpp"
 
@@ -23,11 +22,9 @@ namespace {
 
 using namespace simdts;
 
-/// Random busy/idle occupancy (complementary, like a live machine) as byte
-/// planes plus their packed equivalents and occupancy summaries.
+/// Random busy/idle occupancy (complementary, like a live machine) as packed
+/// planes plus their occupancy summaries.
 struct Occupancy {
-  std::vector<std::uint8_t> busy;
-  std::vector<std::uint8_t> idle;
   simd::BitPlane busy_plane;
   simd::BitPlane idle_plane;
   simd::SummaryPlane busy_summary;
@@ -38,15 +35,12 @@ Occupancy make_occupancy(std::size_t p, std::uint32_t seed,
                          unsigned busy_of_10) {
   Occupancy o;
   std::mt19937 rng(seed);
-  o.busy.resize(p);
-  o.idle.resize(p);
   o.busy_plane.assign(p, false);
   o.idle_plane.assign(p, false);
   for (std::size_t i = 0; i < p; ++i) {
-    o.busy[i] = (rng() % 10) < busy_of_10;
-    o.idle[i] = !o.busy[i];
-    o.busy_plane.set(i, o.busy[i] != 0);
-    o.idle_plane.set(i, o.idle[i] != 0);
+    const bool busy = (rng() % 10) < busy_of_10;
+    o.busy_plane.set(i, busy);
+    o.idle_plane.set(i, !busy);
   }
   o.busy_summary.assign_for_lanes(p);
   o.idle_summary.assign_for_lanes(p);
@@ -110,19 +104,6 @@ void BM_SyntheticExpand(benchmark::State& state) {
 }
 BENCHMARK(BM_SyntheticExpand);
 
-void BM_InclusiveScan(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<std::uint32_t> in(n, 1);
-  std::vector<std::uint32_t> out(n);
-  for (auto _ : state) {
-    simd::inclusive_scan<std::uint32_t>(in, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_InclusiveScan)->Arg(1 << 10)->Arg(1 << 13)->Arg(1 << 16);
-
 void BM_RendezvousBitPlane(benchmark::State& state) {
   const auto p = static_cast<std::size_t>(state.range(0));
   const Occupancy o = make_occupancy(p, 99, 7);
@@ -148,74 +129,6 @@ void BM_GpMatchPhaseBitPlane(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GpMatchPhaseBitPlane)->Arg(1 << 13);
-
-// --- Bit-plane substrate vs byte-plane scalar reference -------------------
-// The engine's per-cycle bookkeeping is census (how many PEs are busy) and
-// enumeration (sum-scan the idle plane into compacted indices).  Each packed
-// kernel is benchmarked against the byte kernel it displaced, on the same
-// occupancy.
-
-void BM_CensusBytes(benchmark::State& state) {
-  const auto p = static_cast<std::size_t>(state.range(0));
-  const Occupancy o = make_occupancy(p, 7, 7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simd::count_set(o.busy));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(p));
-}
-BENCHMARK(BM_CensusBytes)->Arg(1 << 10)->Arg(1 << 14);
-
-void BM_CensusBitPlane(benchmark::State& state) {
-  const auto p = static_cast<std::size_t>(state.range(0));
-  const Occupancy o = make_occupancy(p, 7, 7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simd::count_set(o.busy_plane));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(p));
-}
-BENCHMARK(BM_CensusBitPlane)->Arg(1 << 10)->Arg(1 << 14);
-
-// Second arg: busy lanes out of 10, so the enumerated idle plane ranges
-// from sparse (busy=9 -> 10% idle) to dense (busy=1 -> 90% idle).  The
-// packed kernel is a branch-free byte-table expansion whose cost must not
-// depend on occupancy; the byte kernel's per-lane branch does.
-void BM_EnumerateBytes(benchmark::State& state) {
-  const auto p = static_cast<std::size_t>(state.range(0));
-  const auto busy = static_cast<unsigned>(state.range(1));
-  const Occupancy o = make_occupancy(p, 13, busy);
-  std::vector<std::uint32_t> ranks(p);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simd::enumerate(o.idle, ranks));
-    benchmark::DoNotOptimize(ranks.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(p));
-}
-BENCHMARK(BM_EnumerateBytes)
-    ->Args({1 << 10, 7})
-    ->Args({1 << 14, 9})
-    ->Args({1 << 14, 7})
-    ->Args({1 << 14, 1});
-
-void BM_EnumerateBitPlane(benchmark::State& state) {
-  const auto p = static_cast<std::size_t>(state.range(0));
-  const auto busy = static_cast<unsigned>(state.range(1));
-  const Occupancy o = make_occupancy(p, 13, busy);
-  std::vector<std::uint32_t> ranks(p);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simd::enumerate(o.idle_plane, ranks));
-    benchmark::DoNotOptimize(ranks.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(p));
-}
-BENCHMARK(BM_EnumerateBitPlane)
-    ->Args({1 << 10, 7})
-    ->Args({1 << 14, 9})
-    ->Args({1 << 14, 7})
-    ->Args({1 << 14, 1});
 
 void BM_NeighborPairsBitPlane(benchmark::State& state) {
   const auto p = static_cast<std::size_t>(state.range(0));

@@ -372,8 +372,7 @@ class Engine {
   /// Time-averaged resident stack bytes per lane: the per-cycle sum of
   /// stack_memory_bytes() integrated over every sampled cycle, divided by
   /// (cycles * P).  This is the number that sizes a mega-P deployment —
-  /// P * avg-bytes-per-lane is the expected resident footprint — and the
-  /// `bytes_per_lane` figure of BENCH_engine.json's mega_p section.
+  /// P * avg-bytes-per-lane is the expected resident footprint.
   /// Requires SchemeConfig::track_stack_memory; zero otherwise.
   [[nodiscard]] double stack_memory_avg_per_lane() const noexcept {
     if (stack_bytes_cycles_ == 0) return 0.0;

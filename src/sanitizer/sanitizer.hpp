@@ -14,11 +14,10 @@
 // Cost model: everything here is compiled in only under SIMDTS_SANITIZE (a
 // CMake option, OFF by default).  In a default build this header contributes
 // the constexpr `kCompiledIn = false` and empty macros — no symbols, no
-// branches, provably zero cost (a ctest runs `nm` over libsimdts.a to prove
-// it, and bench/perf_harness hard-fails if the default build reports the
-// sanitizer compiled in).  In a sanitize build the checks can additionally be
-// disarmed at run time (set_armed(false)) so the perf harness can measure the
-// armed-vs-disarmed overhead on identical binaries.
+// branches, provably zero cost (lint.sanitizer_zero_cost runs `nm` over
+// libsimdts.a to prove it).  In a sanitize build the checks can additionally
+// be disarmed at run time (set_armed(false)), so one binary can show that
+// armed and disarmed runs produce identical results.
 //
 // Layering: this module sits between common/ and simd/ so that the substrate
 // itself can hook it.  It therefore speaks only in raw words and lane
@@ -45,8 +44,8 @@ inline constexpr bool kCompiledIn = false;
 
 #ifdef SIMDTS_SANITIZE
 
-/// Runtime master switch.  Armed by default; the perf harness disarms one of
-/// two interleaved runs to measure check overhead on the same binary.
+/// Runtime master switch.  Armed by default; disarming lets one binary show
+/// that the checks never change a simulated result.
 [[nodiscard]] bool armed() noexcept;
 void set_armed(bool value) noexcept;
 

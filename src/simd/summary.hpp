@@ -4,11 +4,11 @@
 // ring pairing — and the expand cycle's word walk scan a BitPlane one
 // 64-lane word at a time: O(P/64) loads per phase even when only a handful
 // of lanes are set.  At P = 2^20 that is 16384 word loads per plane per
-// phase.  A SummaryPlane adds Blelloch's two-level structure (the same
-// blocked decomposition as simd/scan.hpp): one bit per plane *word*, set
-// exactly when that word is nonzero.  Enumerations then skip clear regions
-// at 64 plane words (4096 lanes) per summary-word load and scale with the
-// number of *occupied* words, not with P.
+// phase.  A SummaryPlane adds Blelloch's two-level blocked structure: one
+// bit per plane *word*, set exactly when that word is nonzero.
+// Enumerations then skip clear regions at 64 plane words (4096 lanes) per
+// summary-word load and scale with the number of *occupied* words, not
+// with P.
 //
 // Discipline (the "summary-plane discipline" of docs/performance.md):
 //  - The summary is maintained incrementally alongside the plane: whoever

@@ -2,16 +2,17 @@
 // cycle across host threads.
 //
 // The pool mirrors the data-parallel structure of the emulated machine: a
-// cycle is a parallel_for over the PE index range, each worker owns a
+// cycle is one dispatch over the plane-word range, each worker owns a
 // contiguous chunk of PEs, and the call returns only after every worker has
 // finished (a barrier, exactly like the SIMD machine's implicit global
 // synchronisation).  Because each PE's state is private to its index, the
 // emulation is bit-deterministic regardless of the number of host threads.
 //
 // Dispatch is allocation-free: the body is passed as a (context, trampoline)
-// pair rather than a std::function, and parallel_for_lanes hands the body its
-// lane index so callers can reduce into pre-sized per-lane accumulator slots
-// after the barrier instead of merging under a mutex inside the hot loop.
+// pair rather than a std::function, and parallel_for_lanes_aligned hands the
+// body its lane index so callers can reduce into pre-sized per-lane
+// accumulator slots after the barrier instead of merging under a mutex inside
+// the hot loop.
 //
 // On a single-core host (or with threads == 1) the pool degrades to an inline
 // loop with zero synchronisation overhead.
@@ -42,39 +43,19 @@ class ThreadPool {
   /// Number of lanes work is divided into (>= 1).
   [[nodiscard]] unsigned size() const noexcept { return lanes_; }
 
-  /// Runs body(begin, end) over a partition of [0, n) into size() contiguous
-  /// chunks, one per lane, and blocks until all chunks are done.  The body
-  /// must not touch state shared across chunks without its own
-  /// synchronisation.  Exceptions thrown by the body are rethrown (the first
-  /// one encountered, by lane order) after all lanes finish.
-  template <typename F>
-  void parallel_for(std::size_t n, F&& body) {
-    auto laned = [&body](unsigned /*lane*/, std::size_t begin,
-                         std::size_t end) { body(begin, end); };
-    parallel_for_lanes(n, laned);
-  }
-
-  /// Like parallel_for, but the body also receives its lane index in
-  /// [0, size()).  Each lane index is used by at most one chunk per dispatch,
-  /// so body(lane, ...) may write lane-private accumulators without locking;
-  /// the caller reduces them after the call returns (i.e. at the barrier).
-  /// Lanes whose chunk is empty are not invoked.
-  template <typename F>
-  void parallel_for_lanes(std::size_t n, F&& body) {
-    using Fn = std::remove_reference_t<F>;
-    dispatch(n, 1,
-             const_cast<std::remove_const_t<Fn>*>(std::addressof(body)),
-             [](void* ctx, unsigned lane, std::size_t begin, std::size_t end) {
-               (*static_cast<Fn*>(ctx))(lane, begin, end);
-             });
-  }
-
-  /// As parallel_for_lanes, but every chunk boundary is a multiple of
-  /// `align` (the last chunk still ends at n).  The engine uses align == 64
-  /// plane words so each 64-word summary block — one summary *word* — has a
-  /// single writer per cycle.  Alignment only moves chunk boundaries between
-  /// lanes; per-index work is unchanged, so results stay bit-identical to the
-  /// unaligned partition.
+  /// Runs body(lane, begin, end) over a partition of [0, n) into at most
+  /// size() contiguous chunks, one per lane, and blocks until all chunks are
+  /// done.  Every chunk boundary is a multiple of `align` (the last chunk
+  /// still ends at n; align == 1 is the plain even split).  The engine uses
+  /// align == 64 plane words so each 64-word summary block — one summary
+  /// *word* — has a single writer per cycle.
+  ///
+  /// Each lane index is used by at most one chunk per dispatch, so
+  /// body(lane, ...) may write lane-private accumulators without locking; the
+  /// caller reduces them after the call returns (i.e. at the barrier).  Lanes
+  /// whose chunk is empty are not invoked.  Exceptions thrown by the body are
+  /// rethrown (the first one encountered, by lane order) after all lanes
+  /// finish.
   template <typename F>
   void parallel_for_lanes_aligned(std::size_t n, std::size_t align, F&& body) {
     using Fn = std::remove_reference_t<F>;

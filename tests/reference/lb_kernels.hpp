@@ -5,8 +5,8 @@
 // lb::neighbor_pairs_into) are word-level walks over packed planes that hop
 // between occupied words via SummaryPlanes; every one of them must produce
 // exactly what these produce on the same occupancy pattern.  The property
-// suite in tests/test_lb_kernels.cpp pins that equivalence, and
-// bench/perf_harness.cpp re-checks it before timing.
+// suite in tests/test_lb_kernels.cpp pins that equivalence, up to a sparse
+// P = 2^20 plane.
 //
 // Header-only and test-side by design: the engine never calls these.
 #pragma once

@@ -269,8 +269,8 @@ TEST(CompactStack, ShrinkToFitReleasesOnlyWhenEmpty) {
 }
 
 // ---------------------------------------------------------------------------
-// The memory claim, both mechanisms (the bench's bytes_per_lane figure
-// time-averages these over a real mega-P engine run):
+// The memory claim, both mechanisms, at the peak and time-averaged over one
+// lane's whole descent + drain (the average is what P multiplies at mega-P):
 //  - at equal content a deep stack costs ~3 bytes/entry + path instead of
 //    16 bytes/entry, and
 //  - a drained lane releases its heap entirely, while WorkStack's ring
@@ -289,6 +289,13 @@ TEST(CompactStack, DeepDfsLifecycleMemory) {
   std::vector<FifteenPuzzle::Node> kids;
   std::size_t peak_full = 0;
   std::size_t peak_compact = 0;
+  // Heap bytes summed over one sample after every operation.
+  std::uint64_t sum_full = 0;
+  std::uint64_t sum_compact = 0;
+  const auto sample = [&] {
+    sum_full += full.memory_bytes();
+    sum_compact += compact.memory_bytes();
+  };
   search::NextBound nb;
   // Unbounded descent: the worst-case stack growth memory-bounded stacks
   // exist for (stack depth is what P multiplies at mega-P).
@@ -303,6 +310,7 @@ TEST(CompactStack, DeepDfsLifecycleMemory) {
     compact.append(kids.data(), kids.size());
     peak_full = std::max(peak_full, full.memory_bytes());
     peak_compact = std::max(peak_compact, compact.memory_bytes());
+    sample();
   }
   ASSERT_GT(peak_compact, 0u);
   // 16 bytes/entry vs 2 bytes/entry + 1 path byte/level + one full Node per
@@ -312,16 +320,23 @@ TEST(CompactStack, DeepDfsLifecycleMemory) {
   EXPECT_GE(peak_full, 4 * peak_compact)
       << "full=" << peak_full << " compact=" << peak_compact;
 
-  // Drain both stacks through the engine's pop discipline, then apply the
-  // expand cycle's idle-lane hook: the compact lane returns every heap byte;
-  // the ring deliberately retains its peak capacity.
+  // Drain both stacks through the engine's pop discipline and the expand
+  // cycle's idle-lane hook: the compact lane returns every heap byte once
+  // empty; the ring deliberately retains its peak capacity.
   while (!full.empty()) {
     ASSERT_EQ(full.pop(), compact.pop());
+    compact.release_if_drained();
+    sample();
   }
-  compact.release_if_drained();
   EXPECT_EQ(compact.memory_bytes(), 0u);
   EXPECT_EQ(full.memory_bytes(), peak_full);
   EXPECT_GE(full.memory_bytes(), 4 * (compact.memory_bytes() + 1));
+
+  // The time-averaged ratio over descent + drain: same 4x floor.
+  ASSERT_GT(sum_compact, 0u);
+  EXPECT_GE(sum_full, 4 * sum_compact)
+      << "avg ratio " << static_cast<double>(sum_full) /
+                             static_cast<double>(sum_compact);
 }
 
 // ---------------------------------------------------------------------------

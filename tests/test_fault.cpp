@@ -245,18 +245,21 @@ TEST(FaultTransparency, EmptyPlanIsBitIdenticalToUnarmed) {
   const auto& wl = puzzle::test_workloads()[1];
   const puzzle::FifteenPuzzle problem(wl.board());
   const FaultPlan empty;
-  for (const auto& cfg : {lb::gp_static(0.9), lb::gp_dp(), lb::ngp_dk()}) {
-    simd::Machine m1(64, simd::cm2_cost_model());
-    lb::Engine<puzzle::FifteenPuzzle> unarmed(problem, m1, cfg);
-    const lb::RunStats a = unarmed.run();
+  // One flag word, and a machine past one summary word with a partial tail.
+  for (const std::uint32_t p : {64u, 4097u}) {
+    for (const auto& cfg : {lb::gp_static(0.9), lb::gp_dp(), lb::ngp_dk()}) {
+      simd::Machine m1(p, simd::cm2_cost_model());
+      lb::Engine<puzzle::FifteenPuzzle> unarmed(problem, m1, cfg);
+      const lb::RunStats a = unarmed.run();
 
-    simd::Machine m2(64, simd::cm2_cost_model());
-    lb::Engine<puzzle::FifteenPuzzle> armed(problem, m2, cfg);
-    armed.arm_faults(&empty);
-    const lb::RunStats b = armed.run();
+      simd::Machine m2(p, simd::cm2_cost_model());
+      lb::Engine<puzzle::FifteenPuzzle> armed(problem, m2, cfg);
+      armed.arm_faults(&empty);
+      const lb::RunStats b = armed.run();
 
-    EXPECT_EQ(a, b) << cfg.name();
-    EXPECT_EQ(m1.clock(), m2.clock()) << cfg.name();
+      EXPECT_EQ(a, b) << cfg.name() << " p=" << p;
+      EXPECT_EQ(m1.clock(), m2.clock()) << cfg.name() << " p=" << p;
+    }
   }
 }
 

@@ -194,6 +194,27 @@ TEST(BitPlane, RendezvousMatchesByteKernel) {
 TEST(SummaryKernels, RendezvousMatchesFlatAcrossLimitsAndRotations) {
   std::uint64_t seed = 12;
   for (const std::size_t p : kSummarySizes) expect_rendezvous_agrees(p, seed);
+
+  // The mega-P shape: P = 2^20 with 1024 busy and 1024 idle lanes hashed
+  // over it (busy wins a collision), so the kernel hops across mostly empty
+  // summary words.
+  const std::size_t p = std::size_t{1} << 20;
+  Occupancy o{std::vector<std::uint8_t>(p), std::vector<std::uint8_t>(p)};
+  for (int i = 0; i < 1024; ++i) {
+    o.busy[splitmix(seed) % p] = 1;
+    o.idle[splitmix(seed) % p] = 1;
+  }
+  for (std::size_t i = 0; i < p; ++i) {
+    if (o.busy[i] != 0) o.idle[i] = 0;
+  }
+  const std::vector<Pair> pairs = rendezvous(o, kNoPe, kNoLimit);
+  EXPECT_FALSE(pairs.empty());
+  EXPECT_EQ(pairs, reference::rendezvous(o.busy, o.idle, kNoPe, kNoLimit));
+  for (const PeIndex start : rotations(p, seed)) {
+    EXPECT_EQ(rendezvous(o, start, kNoLimit),
+              reference::rendezvous(o.busy, o.idle, start, kNoLimit))
+        << "p=2^20 start=" << start;
+  }
 }
 
 TEST(BitPlane, MatcherBitAndBytePlanesAgreeAcrossGpPhases) {

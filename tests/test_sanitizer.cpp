@@ -6,8 +6,9 @@
 //
 // The file compiles in both build flavors.  In a default build only the
 // compiled-in flag is checked here — the symbol-level zero-cost proof is the
-// lint.sanitizer_zero_cost ctest (nm over libsimdts.a), and the runtime
-// proof is bench/perf_harness's sanitizer section.
+// lint.sanitizer_zero_cost ctest (nm over libsimdts.a).  In a sanitize build
+// CleanRunPassesAllChecksArmedAndDisarmed additionally proves the checks are
+// transparent: armed and disarmed runs produce identical RunStats.
 #include "sanitizer/sanitizer.hpp"
 
 #include <gtest/gtest.h>
@@ -27,6 +28,7 @@
 #include "simd/cost_model.hpp"
 #include "simd/machine.hpp"
 #include "synthetic/tree.hpp"
+#include "synthetic/workloads.hpp"
 #endif
 
 namespace simdts {
@@ -91,13 +93,26 @@ lb::RunStats run_synthetic(std::uint32_t p,
 
 TEST(Sanitizer, CleanRunPassesAllChecksArmedAndDisarmed) {
   MutationGuard guard;
-  san::set_armed(true);
-  const lb::RunStats armed = run_synthetic(64);
-  san::set_armed(false);
-  const lb::RunStats disarmed = run_synthetic(64);
-  EXPECT_EQ(armed.total.nodes_expanded, disarmed.total.nodes_expanded);
-  EXPECT_EQ(armed.total.lb_phases, disarmed.total.lb_phases);
-  EXPECT_EQ(armed.goals_found, disarmed.goals_found);
+  // The mutation scenario on one flag word, and the ~96k-node isoefficiency
+  // tree on a machine past one summary word with a partial tail, so lb
+  // phases move work across many plane and summary words.
+  const auto& big = synthetic::iso_workloads()[2];
+  for (const auto& [params, p] :
+       {std::pair{synthetic::Params{9013, 4, 0.395, 14}, 64u},
+        std::pair{big.params, 4097u}}) {
+    const synthetic::Tree tree(params);
+    const auto run = [&] {
+      simd::Machine machine(p, simd::cm2_cost_model());
+      lb::Engine<synthetic::Tree> engine(tree, machine, lb::gp_static(0.9));
+      return engine.run();
+    };
+    san::set_armed(true);
+    const lb::RunStats armed = run();
+    san::set_armed(false);
+    const lb::RunStats disarmed = run();
+    // Every count, clock and trace point, not a sample of them.
+    EXPECT_EQ(armed, disarmed) << "p=" << p;
+  }
 }
 
 TEST(Sanitizer, CleanFaultRunPassesAllChecks) {

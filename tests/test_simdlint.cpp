@@ -460,7 +460,8 @@ TEST(SimdlintIncludeGraph, QuotedIncludesAreExtractedFromRawOffsets) {
   const auto f = simdlint::SourceFile::parse("src/lb/x.hpp",
                                              "#pragma once\n"
                                              "#include \"lb/config.hpp\"\n"
-                                             "  #  include \"simd/scan.hpp\"\n"
+                                             "  #  include "
+                                             "\"simd/summary.hpp\"\n"
                                              "#include <vector>\n"
                                              "// #include \"fault/fault.hpp\"\n"
                                              "const char* s = \"#include "
@@ -469,7 +470,7 @@ TEST(SimdlintIncludeGraph, QuotedIncludesAreExtractedFromRawOffsets) {
   ASSERT_EQ(edges.size(), 2u);
   EXPECT_EQ(edges[0].target, "lb/config.hpp");
   EXPECT_EQ(edges[0].line, 2u);
-  EXPECT_EQ(edges[1].target, "simd/scan.hpp");
+  EXPECT_EQ(edges[1].target, "simd/summary.hpp");
   EXPECT_EQ(edges[1].line, 3u);
 }
 
@@ -524,7 +525,7 @@ TEST(SimdlintLayering, DownRankSameModuleAndOutsideSrcAreFine) {
                   .empty());
   // A bare filename is a same-directory include, not a module edge.
   EXPECT_TRUE(
-      active("src/simd/ok.hpp", "#pragma once\n#include \"scan.hpp\"\n")
+      active("src/simd/ok.hpp", "#pragma once\n#include \"summary.hpp\"\n")
           .empty());
 }
 
@@ -608,12 +609,12 @@ TEST(SimdlintIncludeGraph, BackslashContinuedIncludesAreStillSeen) {
                                              "#include \\\n"
                                              "  \"lb/config.hpp\"\n"
                                              "# \\\n"
-                                             "include \"simd/scan.hpp\"\n");
+                                             "include \"simd/summary.hpp\"\n");
   const auto edges = simdlint::quoted_includes(f);
   ASSERT_EQ(edges.size(), 2u);
   EXPECT_EQ(edges[0].target, "lb/config.hpp");
   EXPECT_EQ(edges[0].line, 2u);
-  EXPECT_EQ(edges[1].target, "simd/scan.hpp");
+  EXPECT_EQ(edges[1].target, "simd/summary.hpp");
   EXPECT_EQ(edges[1].line, 4u);
 }
 

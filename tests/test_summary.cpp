@@ -1,7 +1,6 @@
 // SummaryPlane invariants (the summary-aware lb kernels built on them are
 // pinned to the naive reference in tests/test_lb_kernels.cpp), plus the
-// large-N scan coverage the mega-P sweeps lean on and the engine's summary
-// maintenance under kill/revive fault plans.
+// engine's summary maintenance under kill/revive fault plans.
 #include "simd/summary.hpp"
 
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 #include "puzzle/fifteen.hpp"
 #include "puzzle/workloads.hpp"
 #include "simd/bitplane.hpp"
-#include "simd/scan.hpp"
 #include "simd/thread_pool.hpp"
 
 namespace simdts::simd {
@@ -140,40 +138,6 @@ TEST(SummaryPlane, EmptyAndFullPlanes) {
     for (std::size_t w = 0; w < sum.size(); ++w) {
       EXPECT_EQ(sum.next_occupied(w), w);
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// simd/scan at large N (the prefix sums under mega-P enumerations)
-// ---------------------------------------------------------------------------
-
-TEST(ScanLargeN, ParallelInclusiveScanMatchesSerialAboveThreshold) {
-  // (1 << 17) + 3 lanes: above kMinParallel, not a multiple of any block.
-  const std::size_t n = (std::size_t{1} << 17) + 3;
-  std::vector<std::uint32_t> in(n);
-  std::uint64_t seed = 9;
-  for (auto& v : in) v = static_cast<std::uint32_t>(splitmix(seed) % 5);
-  std::vector<std::uint32_t> serial(n);
-  std::vector<std::uint32_t> parallel(n);
-  inclusive_scan<std::uint32_t>(in, serial);
-  for (const unsigned threads : {2u, 8u}) {
-    ThreadPool pool(threads);
-    inclusive_scan<std::uint32_t>(in, parallel, pool);
-    EXPECT_EQ(serial, parallel) << "threads=" << threads;
-  }
-}
-
-TEST(ScanLargeN, EnumerateRanksLargeNonX64Plane) {
-  const std::size_t p = 70001;
-  std::uint64_t seed = 10;
-  const BitPlane plane = random_plane(p, 13, seed);
-  std::vector<std::uint32_t> ranks(p);
-  const std::uint32_t total = enumerate(plane, ranks);
-  EXPECT_EQ(total, plane.count());
-  std::uint32_t expect_rank = 0;
-  for (std::size_t i = 0; i < p; ++i) {
-    EXPECT_EQ(ranks[i], expect_rank) << "i=" << i;
-    if (plane.test(i)) ++expect_rank;
   }
 }
 

@@ -80,11 +80,12 @@ std::vector<synthetic::SyntheticWorkload> tiny_ladder() {
 
 TEST(SweepDeterminism, RunGridIdenticalAcrossHostThreads) {
   const auto ladder = tiny_ladder();
-  const std::uint32_t sizes[] = {16, 64};
+  // Up to the quick fig4 grid's largest machine, where cells run longest.
+  const std::uint32_t sizes[] = {16, 64, 1024};
   for (const auto& cfg : {lb::gp_static(0.90), lb::gp_dk()}) {
     const analysis::GridResult serial =
         analysis::run_grid(cfg, ladder, sizes, simd::cm2_cost_model(), 1);
-    for (const unsigned threads : {2u, 8u}) {
+    for (const unsigned threads : {2u, 4u, 8u}) {
       const analysis::GridResult parallel = analysis::run_grid(
           cfg, ladder, sizes, simd::cm2_cost_model(), threads);
       ASSERT_EQ(parallel.points.size(), serial.points.size());

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/report.hpp"
 #include "common/error.hpp"
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
 
 namespace simdts::analysis {
 namespace {
@@ -83,6 +87,65 @@ TEST(WriteFile, CreatesParentDirectories) {
   std::getline(in, content);
   EXPECT_EQ(content, "hello");
   std::filesystem::remove_all(dir);
+}
+
+/// Sets an environment variable for one scope and unsets it on exit.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() { ::unsetenv(name_); }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+};
+
+TEST(EnvU64, UnsetOrEmptyFallsBackAndPlainNumbersParse) {
+  const char* name = "SIMDTS_TEST_ENV_U64";
+  ::unsetenv(name);
+  EXPECT_EQ(env_u64(name, 77), 77u);
+  {
+    const ScopedEnv env(name, "");
+    EXPECT_EQ(env_u64(name, 77), 77u);
+  }
+  {
+    const ScopedEnv env(name, "8192");
+    EXPECT_EQ(env_u64(name, 77), 8192u);
+  }
+  {
+    const ScopedEnv env(name, "18446744073709551615");
+    EXPECT_EQ(env_u64(name, 77), std::numeric_limits<std::uint64_t>::max());
+  }
+  {
+    const ScopedEnv env(name, "4294967295");
+    EXPECT_EQ(env_u64(name, 77, std::numeric_limits<std::uint32_t>::max()),
+              std::numeric_limits<std::uint32_t>::max());
+  }
+}
+
+TEST(EnvU64, MalformedValuesThrowConfigErrorNamingTheVariable) {
+  const char* name = "SIMDTS_TEST_ENV_U64";
+  // Trailing characters, signs, whitespace, zero, and values past 2^64 - 1.
+  for (const char* bad : {"8k", "12 ", " 12", "0x10", "1.5", "-1", "+5", "0",
+                          "abc", "18446744073709551616"}) {
+    const ScopedEnv env(name, bad);
+    try {
+      (void)env_u64(name, 77);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  }
+  // A machine size past the 32-bit PE index range is rejected rather than
+  // truncated (4294967296 would otherwise become P = 0).
+  const ScopedEnv env(name, "4294967296");
+  EXPECT_THROW(
+      (void)env_u64(name, 77, std::numeric_limits<std::uint32_t>::max()),
+      ConfigError);
 }
 
 }  // namespace

@@ -16,16 +16,19 @@ TEST(ThreadPool, SingleLaneRunsInline) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.size(), 1u);
   std::vector<int> hits(10, 0);
-  pool.parallel_for(10, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) ++hits[i];
-  });
+  pool.parallel_for_lanes_aligned(
+      10, 1, [&](unsigned lane, std::size_t b, std::size_t e) {
+        EXPECT_EQ(lane, 0u);
+        for (std::size_t i = b; i < e; ++i) ++hits[i];
+      });
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
 TEST(ThreadPool, ZeroItemsIsNoop) {
   ThreadPool pool(4);
   bool called = false;
-  pool.parallel_for(0, [&](std::size_t, std::size_t) { called = true; });
+  pool.parallel_for_lanes_aligned(
+      0, 1, [&](unsigned, std::size_t, std::size_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
@@ -35,11 +38,12 @@ TEST_P(ThreadPoolLanes, CoversRangeExactlyOnce) {
   ThreadPool pool(GetParam());
   for (std::size_t n : {1ul, 2ul, 7ul, 64ul, 1000ul, 4097ul}) {
     std::vector<std::atomic<int>> hits(n);
-    pool.parallel_for(n, [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) {
-        hits[i].fetch_add(1, std::memory_order_relaxed);
-      }
-    });
+    pool.parallel_for_lanes_aligned(
+        n, 1, [&](unsigned, std::size_t b, std::size_t e) {
+          for (std::size_t i = b; i < e; ++i) {
+            hits[i].fetch_add(1, std::memory_order_relaxed);
+          }
+        });
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(hits[i].load(), 1) << "n=" << n << " i=" << i;
     }
@@ -49,32 +53,45 @@ TEST_P(ThreadPoolLanes, CoversRangeExactlyOnce) {
 TEST_P(ThreadPoolLanes, ChunksAreContiguousAndOrdered) {
   ThreadPool pool(GetParam());
   const std::size_t n = 1001;
-  std::mutex mu;
-  std::vector<std::pair<std::size_t, std::size_t>> chunks;
-  pool.parallel_for(n, [&](std::size_t b, std::size_t e) {
-    EXPECT_LT(b, e);
-    const std::lock_guard lock(mu);
-    chunks.emplace_back(b, e);
-  });
-  std::sort(chunks.begin(), chunks.end());
-  std::size_t expect = 0;
-  for (const auto& [b, e] : chunks) {
-    EXPECT_EQ(b, expect);
-    expect = e;
+  // align 1 is the even split; align 64 is the engine's summary-word split,
+  // whose inner boundaries must all land on multiples of 64.
+  for (const std::size_t align : {std::size_t{1}, std::size_t{64}}) {
+    std::mutex mu;
+    std::vector<std::pair<std::size_t, std::size_t>> chunks;
+    std::vector<unsigned> lanes;
+    pool.parallel_for_lanes_aligned(
+        n, align, [&](unsigned lane, std::size_t b, std::size_t e) {
+          EXPECT_LT(b, e);
+          EXPECT_LT(lane, pool.size());
+          const std::lock_guard lock(mu);
+          chunks.emplace_back(b, e);
+          lanes.push_back(lane);
+        });
+    std::sort(chunks.begin(), chunks.end());
+    std::sort(lanes.begin(), lanes.end());
+    EXPECT_EQ(std::adjacent_find(lanes.begin(), lanes.end()), lanes.end())
+        << "a lane ran two chunks, align=" << align;
+    std::size_t expect = 0;
+    for (const auto& [b, e] : chunks) {
+      EXPECT_EQ(b, expect);
+      EXPECT_EQ(b % align, 0u) << "align=" << align;
+      expect = e;
+    }
+    EXPECT_EQ(expect, n);
   }
-  EXPECT_EQ(expect, n);
 }
 
 TEST_P(ThreadPoolLanes, SumIsDeterministic) {
   ThreadPool pool(GetParam());
   const std::size_t n = 100000;
-  std::vector<std::uint64_t> partial(pool.size() + 1, 0);
-  std::atomic<unsigned> next_slot{0};
-  pool.parallel_for(n, [&](std::size_t b, std::size_t e) {
-    std::uint64_t s = 0;
-    for (std::size_t i = b; i < e; ++i) s += i;
-    partial[next_slot.fetch_add(1)] = s;
-  });
+  // One accumulator slot per lane, reduced after the barrier.
+  std::vector<std::uint64_t> partial(pool.size(), 0);
+  pool.parallel_for_lanes_aligned(
+      n, 1, [&](unsigned lane, std::size_t b, std::size_t e) {
+        std::uint64_t s = 0;
+        for (std::size_t i = b; i < e; ++i) s += i;
+        partial[lane] = s;
+      });
   const std::uint64_t total =
       std::accumulate(partial.begin(), partial.end(), std::uint64_t{0});
   EXPECT_EQ(total, static_cast<std::uint64_t>(n) * (n - 1) / 2);
@@ -84,9 +101,10 @@ TEST_P(ThreadPoolLanes, ReusableAcrossManyDispatches) {
   ThreadPool pool(GetParam());
   std::atomic<std::uint64_t> sum{0};
   for (int round = 0; round < 100; ++round) {
-    pool.parallel_for(17, [&](std::size_t b, std::size_t e) {
-      sum.fetch_add(e - b, std::memory_order_relaxed);
-    });
+    pool.parallel_for_lanes_aligned(
+        17, 1, [&](unsigned, std::size_t b, std::size_t e) {
+          sum.fetch_add(e - b, std::memory_order_relaxed);
+        });
   }
   EXPECT_EQ(sum.load(), 1700u);
 }
@@ -96,26 +114,28 @@ INSTANTIATE_TEST_SUITE_P(Lanes, ThreadPoolLanes,
 
 TEST(ThreadPool, PropagatesExceptions) {
   ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.parallel_for(100,
-                        [&](std::size_t b, std::size_t) {
-                          if (b == 0) throw std::runtime_error("boom");
-                        }),
-      std::runtime_error);
+  EXPECT_THROW(pool.parallel_for_lanes_aligned(
+                   100, 1,
+                   [&](unsigned, std::size_t b, std::size_t) {
+                     if (b == 0) throw std::runtime_error("boom");
+                   }),
+               std::runtime_error);
   // The pool must still be usable afterwards.
   std::atomic<int> ok{0};
-  pool.parallel_for(4, [&](std::size_t b, std::size_t e) {
-    ok.fetch_add(static_cast<int>(e - b));
-  });
+  pool.parallel_for_lanes_aligned(
+      4, 1, [&](unsigned, std::size_t b, std::size_t e) {
+        ok.fetch_add(static_cast<int>(e - b));
+      });
   EXPECT_EQ(ok.load(), 4);
 }
 
 TEST(ThreadPool, FewerItemsThanLanes) {
   ThreadPool pool(8);
   std::atomic<int> count{0};
-  pool.parallel_for(3, [&](std::size_t b, std::size_t e) {
-    count.fetch_add(static_cast<int>(e - b));
-  });
+  pool.parallel_for_lanes_aligned(
+      3, 1, [&](unsigned, std::size_t b, std::size_t e) {
+        count.fetch_add(static_cast<int>(e - b));
+      });
   EXPECT_EQ(count.load(), 3);
 }
 
