@@ -21,6 +21,7 @@
 
 #include "analysis/report.hpp"
 #include "analysis/table.hpp"
+#include "common/env.hpp"
 #include "lb/engine.hpp"
 #include "puzzle/fifteen.hpp"
 #include "puzzle/workloads.hpp"
@@ -35,7 +36,7 @@ namespace simdts::bench {
 /// quick mode, or $SIMDTS_P (at most UINT32_MAX, the PE index range).
 inline std::uint32_t table_machine_size() {
   const std::uint64_t fallback = analysis::quick_mode() ? 1024 : 8192;
-  return static_cast<std::uint32_t>(analysis::env_u64(
+  return static_cast<std::uint32_t>(common::env_u64(
       "SIMDTS_P", fallback, std::numeric_limits<std::uint32_t>::max()));
 }
 

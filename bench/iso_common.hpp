@@ -17,6 +17,7 @@
 #include "analysis/report.hpp"
 #include "analysis/table.hpp"
 #include "common.hpp"
+#include "common/env.hpp"
 #include "runtime/journal.hpp"
 #include "synthetic/workloads.hpp"
 
@@ -74,7 +75,7 @@ inline void run_iso_experiment(const std::string& name,
   options.resume = resume;
   // Watchdog prior: generous multiple of the whole ladder's serial work, so
   // only a genuinely wedged simulation trips it.
-  options.cycle_budget = analysis::env_u64("SIMDTS_CYCLE_BUDGET", 500000000);
+  options.cycle_budget = common::env_u64("SIMDTS_CYCLE_BUDGET", 500000000);
   if (resume) {
     std::cout << "[resume] replaying completed cells from "
               << options.journal_path << '\n';

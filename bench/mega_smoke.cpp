@@ -1,29 +1,28 @@
 // Mega-P smoke: a quick P = 2^20 run that must stay cheap, deterministic,
-// and memory-bounded — the CI face of the mega-P machinery (memory-bounded
-// CompactStack lanes + hierarchical census/rendezvous).
+// and memory-bounded — the CI face of the mega-P machinery (sharded lane
+// storage + hierarchical census/rendezvous over summary planes).
 //
-// Three hard gates, each a non-zero exit:
+// Two hard gates, each a non-zero exit:
 //  1. Determinism: the same 2^20-lane iteration run at 1, 2 and 8 host
 //     threads — with a FaultPlan armed (kills across the whole lane range,
-//     one revival) and without — produces bit-identical IterationStats on
-//     both stack representations.
-//  2. Representation transparency: CompactStack results equal WorkStack
-//     results (the delta encoding may never change a simulated count).
-//  3. Memory: peak RSS of the whole process stays under a fixed ceiling.
+//     one revival) and without — produces bit-identical IterationStats
+//     (six runs against the two single-threaded baselines).
+//  2. Memory: peak RSS of the whole process stays under a fixed ceiling.
 //     The default 256 MB leaves ~5x headroom over the measured ~51 MB peak,
 //     so noise never trips it, while a regression of kind — any accidental
 //     O(P) per-lane cost, e.g. a kilobyte of retained stack per lane at
-//     P = 2^20 — blows straight through it (SIMDTS_MEGA_RSS_MB overrides).
+//     P = 2^20 — blows straight through it.  SIMDTS_MEGA_RSS_MB overrides
+//     the ceiling: an integer in [1, 1048576], anything else is an error.
 //
 // Runs in tens of seconds; wired into the CI perf-smoke job.
 #include <sys/resource.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <vector>
 
 #include "analysis/report.hpp"
+#include "common/env.hpp"
 #include "fault/fault.hpp"
 #include "lb/engine.hpp"
 #include "simd/thread_pool.hpp"
@@ -37,6 +36,9 @@ using namespace simdts;
 /// idle — the sparse regime the summary planes exist for.
 synthetic::Params tree_params() { return {42, 4, 0.6, 16}; }
 
+/// Upper bound on SIMDTS_MEGA_RSS_MB (1 TB): a larger ceiling gates nothing.
+constexpr std::uint64_t kMaxRssCeilingMb = std::uint64_t{1} << 20;
+
 long peak_rss_mb() {
   struct rusage usage {};
   getrusage(RUSAGE_SELF, &usage);
@@ -44,12 +46,11 @@ long peak_rss_mb() {
   return usage.ru_maxrss / 1024;
 }
 
-template <typename EngineT>
 lb::IterationStats run_once(const synthetic::Tree& tree, std::uint32_t p,
                             unsigned threads, const fault::FaultPlan* plan) {
   simd::ThreadPool pool(threads);
   simd::Machine machine(p, simd::cm2_cost_model(), &pool);
-  EngineT engine(tree, machine, lb::gp_static(0.9));
+  lb::Engine<synthetic::Tree> engine(tree, machine, lb::gp_static(0.9));
   if (plan != nullptr) engine.arm_faults(plan);
   return engine.run_iteration(search::kUnbounded);
 }
@@ -60,9 +61,12 @@ int main() {
   analysis::print_banner(
       "Mega-P smoke — P = 2^20 lanes, quick and deterministic",
       "repo infrastructure (no paper counterpart)",
-      "bit-identical across 1/2/8 host threads and both stack "
-      "representations, faults armed and unarmed, under a fixed RSS ceiling");
+      "bit-identical across 1/2/8 host threads, faults armed and unarmed, "
+      "under a fixed RSS ceiling");
 
+  // Read before the runs, so a malformed ceiling fails in milliseconds.
+  const auto ceiling_mb = static_cast<long>(
+      common::env_u64("SIMDTS_MEGA_RSS_MB", 256, kMaxRssCeilingMb));
   const std::uint32_t p = 1u << 20;
   const synthetic::Tree tree(tree_params());
   // Kills span the whole index range — the top word region is where a
@@ -74,10 +78,8 @@ int main() {
       {7, fault::FaultKind::kRevivePe, 70001, 0},
   });
 
-  const lb::IterationStats base =
-      run_once<lb::Engine<synthetic::Tree>>(tree, p, 1, nullptr);
-  const lb::IterationStats base_faulted =
-      run_once<lb::Engine<synthetic::Tree>>(tree, p, 1, &plan);
+  const lb::IterationStats base = run_once(tree, p, 1, nullptr);
+  const lb::IterationStats base_faulted = run_once(tree, p, 1, &plan);
   if (base.nodes_expanded == 0 || base_faulted.pes_killed != 3 ||
       base_faulted.pes_revived != 1) {
     std::cout << "FATAL: the smoke scenario degenerated (nodes="
@@ -97,31 +99,17 @@ int main() {
   };
   for (const unsigned threads : {1u, 2u, 8u}) {
     const std::string t = "t=" + std::to_string(threads);
-    check(("full    " + t + " unarmed").c_str(),
-          run_once<lb::Engine<synthetic::Tree>>(tree, p, threads, nullptr),
+    check((t + " unarmed").c_str(), run_once(tree, p, threads, nullptr),
           base);
-    check(("full    " + t + " faults ").c_str(),
-          run_once<lb::Engine<synthetic::Tree>>(tree, p, threads, &plan),
-          base_faulted);
-    check(("compact " + t + " unarmed").c_str(),
-          run_once<lb::CompactEngine<synthetic::Tree>>(tree, p, threads,
-                                                       nullptr),
-          base);
-    check(("compact " + t + " faults ").c_str(),
-          run_once<lb::CompactEngine<synthetic::Tree>>(tree, p, threads,
-                                                       &plan),
+    check((t + " faults ").c_str(), run_once(tree, p, threads, &plan),
           base_faulted);
   }
   if (!identical) {
-    std::cout << "\nFATAL: a P = 2^20 run diverged across host threads, "
-                 "fault arming, or stack representation.\n";
+    std::cout << "\nFATAL: a P = 2^20 run diverged across host threads or "
+                 "fault arming.\n";
     return 1;
   }
 
-  long ceiling_mb = 256;
-  if (const char* env = std::getenv("SIMDTS_MEGA_RSS_MB"); env != nullptr) {
-    ceiling_mb = std::atol(env);
-  }
   const long rss_mb = peak_rss_mb();
   std::cout << "\npeak RSS " << rss_mb << " MB (ceiling " << ceiling_mb
             << " MB)\n";
@@ -130,6 +118,6 @@ int main() {
     return 1;
   }
   std::cout << "mega-P smoke: PASS (" << base.nodes_expanded
-            << " nodes, 12 runs bit-identical, RSS within ceiling)\n";
+            << " nodes, 6 runs bit-identical, RSS within ceiling)\n";
   return 0;
 }

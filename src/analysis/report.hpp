@@ -2,8 +2,6 @@
 // paper-vs-measured framing, and CSV artifact emission.
 #pragma once
 
-#include <cstdint>
-#include <limits>
 #include <string>
 
 #include "analysis/table.hpp"
@@ -21,15 +19,6 @@ void print_banner(const std::string& experiment, const std::string& paper_ref,
 /// Writes a table as CSV under out_dir()/<name>.csv and reports the path to
 /// stdout (best-effort: failure to write is reported but not fatal).
 void emit_csv(const std::string& name, const Table& table);
-
-/// Reads a positive decimal integer from the environment (scaling knobs for
-/// the bench binaries); returns fallback when the variable is unset or empty.
-/// Any other value that is not a plain decimal number in [1, max] (a sign,
-/// trailing characters, zero, overflow) throws simdts::ConfigError naming the
-/// variable.
-[[nodiscard]] std::uint64_t env_u64(
-    const char* name, std::uint64_t fallback,
-    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 /// True when $SIMDTS_QUICK is set (reduced-scale bench runs).
 [[nodiscard]] bool quick_mode();

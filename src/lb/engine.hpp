@@ -51,11 +51,10 @@
 // flag plane carries a simd::SummaryPlane (one bit per 64-lane word,
 // maintained at the same write-back that stores the word) so the expansion
 // walk and every load-balancing enumeration skip empty regions and scale
-// with *occupied* words, not P; and the per-lane stack is a template
-// parameter, so a DeltaTreeProblem can swap WorkStack's full-Node entries
-// for CompactStack's 2-byte delta records (see CompactEngine below).  Host
-// partitions are aligned to 64 plane words so every summary word keeps a
-// single writer per cycle; alignment only moves chunk boundaries, which by
+// with *occupied* words, not P; and each lane's search::WorkStack allocates
+// only once it holds work, with trim_memory() handing drained lanes' buffers
+// back between runs.  Host partitions are aligned to 64 plane words so every
+// summary word keeps a single writer per cycle; alignment only moves chunk boundaries, which by
 // the determinism guarantee above cannot move a single simulated result.
 #pragma once
 
@@ -73,7 +72,6 @@
 #include "lb/matching.hpp"
 #include "lb/metrics.hpp"
 #include "lb/trigger.hpp"
-#include "search/compact_stack.hpp"
 #include "search/problem.hpp"
 #include "search/splitter.hpp"
 #include "search/work_stack.hpp"
@@ -83,19 +81,13 @@
 
 namespace simdts::lb {
 
-/// `StackT` selects the per-lane stack representation: WorkStack<Node> (the
-/// default — full nodes, every TreeProblem) or search::CompactStack<P> (delta
-/// records, DeltaTreeProblem only; ~4x fewer bytes per lane on the
-/// 15-puzzle).  Both satisfy the same stack contract and the engine's
-/// simulated results are bit-identical across the two (pinned by
-/// tests/test_compact_stack.cpp), so the choice is purely a host-memory
-/// trade.
-template <search::TreeProblem P,
-          typename StackT = search::WorkStack<typename P::Node>>
+/// One search::WorkStack of full nodes per PE, as in the paper's Section 2
+/// machine.
+template <search::TreeProblem P>
 class Engine {
  public:
   using Node = typename P::Node;
-  using Stack = StackT;
+  using Stack = search::WorkStack<Node>;
 
   /// Throws simdts::ConfigError on an invalid scheme configuration (see
   /// SchemeConfig::validate).
@@ -114,9 +106,6 @@ class Engine {
     busy_summary_.assign_for_lanes(machine.size());
     idle_summary_.assign_for_lanes(machine.size());
     work_summary_.assign_for_lanes(machine.size());
-    if constexpr (requires(StackT& s) { s.bind(problem); }) {
-      stacks_.for_each([&problem](StackT& s) { s.bind(problem); });
-    }
     // Size the lane scratch once, outside the lockstep region: a cycle
     // records at most one goal per PE, so with this capacity a steady-state
     // cycle touches no allocator at all (the effect analysis pins the
@@ -211,7 +200,7 @@ class Engine {
     IterationStats& stats = result.stats;
     stats.bound = bound;
 
-    stacks_.for_each([](StackT& s) { s.clear(); });
+    stacks_.for_each([](Stack& s) { s.clear(); });
     // Initial census and flag planes: the first surviving PE holds the root
     // (one node, so not yet splittable), every other survivor is idle, dead
     // lanes are neither.  From here on the census is maintained
@@ -345,21 +334,21 @@ class Engine {
   [[nodiscard]] const Matcher& matcher() const { return matcher_; }
 
   /// Direct access to the PE stacks, for white-box tests.
-  [[nodiscard]] const common::ShardedArray<StackT>& stacks() const {
+  [[nodiscard]] const common::ShardedArray<Stack>& stacks() const {
     return stacks_;
   }
 
   /// Returns surplus stack capacity to the allocator across every lane (the
   /// pooled-release path; a serial, between-runs operation).
   void trim_memory() {
-    stacks_.for_each([](StackT& s) { s.shrink_to_fit(); });
+    stacks_.for_each([](Stack& s) { s.shrink_to_fit(); });
   }
 
   /// Total heap bytes held by the per-lane stacks — the bytes-per-lane
   /// metric of the mega-P benchmarks.
   [[nodiscard]] std::size_t stack_memory_bytes() const {
     std::size_t total = 0;
-    stacks_.for_each([&total](const StackT& s) { total += s.memory_bytes(); });
+    stacks_.for_each([&total](const Stack& s) { total += s.memory_bytes(); });
     return total;
   }
 
@@ -519,13 +508,6 @@ class Engine {
             busy_w &= ~bit;
             --ls.d_nonempty;
             if (was_split) --ls.d_splittable;
-            if constexpr (requires { st.release_if_drained(); }) {
-              // Pooled release: a drained lane's heap goes back to the
-              // allocator the cycle it goes idle, so resident stack memory
-              // tracks *live* work — the memory bound that makes P = 2^20
-              // practical.  Memory-only: simulated results are unchanged.
-              st.release_if_drained();
-            }
           } else if (st.splittable() != was_split) {
             ls.d_splittable += was_split ? -1 : 1;
             busy_w ^= bit;
@@ -977,7 +959,7 @@ class Engine {
   simd::Machine& machine_;
   SchemeConfig cfg_;
   Matcher matcher_;
-  common::ShardedArray<StackT> stacks_;
+  common::ShardedArray<Stack> stacks_;
   simd::BitPlane busy_flags_;   ///< splittable, maintained in place
   simd::BitPlane idle_flags_;   ///< empty *and alive*, in place
   simd::SummaryPlane busy_summary_;  ///< one bit per busy-plane word
@@ -1014,10 +996,5 @@ class Engine {
   san::ClaimDomain san_claims_;   ///< this engine's word-ownership claims
 #endif
 };
-
-/// Engine with memory-bounded delta stacks: the mega-P configuration for
-/// problems that provide a delta codec (search::DeltaTreeProblem).
-template <search::DeltaTreeProblem P>
-using CompactEngine = Engine<P, search::CompactStack<P>>;
 
 }  // namespace simdts::lb

@@ -102,64 +102,6 @@ class FifteenPuzzle {
     return static_cast<search::Bound>(n.g) + n.h;
   }
 
-  /// Delta codec (search::DeltaTreeProblem): a child is its parent plus the
-  /// blank move that produced it, so compact stacks store one byte per entry
-  /// instead of a 16-byte Node.  The move is already cached in Node::last.
-  [[nodiscard]] std::uint8_t encode_delta(const Node& /*parent*/,
-                                          const Node& child) const {
-    return child.last;
-  }
-
-  /// Re-applies move `delta` to `n` with exactly the arithmetic of expand()'s
-  /// try_move, so the decoded child is bit-identical to the one expand()
-  /// emitted (the CompactStack correctness contract).
-  [[nodiscard]] Node decode_delta(const Node& n, std::uint8_t delta) const {
-    const auto m = static_cast<Move>(delta);
-    const int blank = n.blank;
-    const int target = blank + move_offset(m);
-    const std::uint64_t t = (n.board >> (4 * target)) & 0xF;
-    std::uint64_t board = n.board & ~(0xFULL << (4 * target));
-    board |= t << (4 * blank);
-    Node child{};
-    child.board = board;
-    child.blank = static_cast<std::uint8_t>(target);
-    child.g = static_cast<std::uint8_t>(n.g + 1);
-    if (heuristic_ == Heuristic::kManhattan) {
-      child.h = static_cast<std::uint8_t>(
-          n.h + manhattan_delta(static_cast<std::uint8_t>(t), target, blank));
-    } else {
-      child.h = static_cast<std::uint8_t>(evaluate(Board(board), heuristic_));
-    }
-    child.last = delta;
-    return child;
-  }
-
-  /// Inverse of decode_delta (search::UndoDeltaProblem): reconstructs the
-  /// parent from a child in O(1), giving compact stacks constant-time
-  /// backtracking.  `parent_delta` restores the parent's own `last` field
-  /// (the caller has it from the delta path; never needed for base nodes,
-  /// which are stored whole).
-  [[nodiscard]] Node undo_delta(const Node& c, std::uint8_t delta,
-                                std::uint8_t parent_delta) const {
-    const auto m = static_cast<Move>(delta);
-    const int pb = c.blank - move_offset(m);  // where the blank came from
-    const std::uint64_t t = (c.board >> (4 * pb)) & 0xF;  // the slid tile
-    std::uint64_t board = c.board & ~(0xFULL << (4 * pb));
-    board |= t << (4 * c.blank);
-    Node p{};
-    p.board = board;
-    p.blank = static_cast<std::uint8_t>(pb);
-    p.g = static_cast<std::uint8_t>(c.g - 1);
-    if (heuristic_ == Heuristic::kManhattan) {
-      p.h = static_cast<std::uint8_t>(
-          c.h - manhattan_delta(static_cast<std::uint8_t>(t), c.blank, pb));
-    } else {
-      p.h = static_cast<std::uint8_t>(evaluate(Board(board), heuristic_));
-    }
-    p.last = parent_delta;
-    return p;
-  }
-
   [[nodiscard]] const Board& start() const { return start_; }
   [[nodiscard]] Heuristic heuristic() const { return heuristic_; }
 
@@ -169,21 +111,6 @@ class FifteenPuzzle {
   }
 
  private:
-  /// Displacement of the blank for each move, matching expand()'s targets.
-  [[nodiscard]] static constexpr int move_offset(Move m) {
-    switch (m) {
-      case Move::kUp:
-        return -kSide;
-      case Move::kDown:
-        return kSide;
-      case Move::kLeft:
-        return -1;
-      case Move::kRight:
-        return 1;
-    }
-    return 0;
-  }
-
   Board start_;
   Heuristic heuristic_;
 };
@@ -191,7 +118,5 @@ class FifteenPuzzle {
 static_assert(sizeof(FifteenPuzzle::Node) == 16,
               "puzzle nodes should stay two words");
 static_assert(search::TreeProblem<FifteenPuzzle>);
-static_assert(search::DeltaTreeProblem<FifteenPuzzle>);
-static_assert(search::UndoDeltaProblem<FifteenPuzzle>);
 
 }  // namespace simdts::puzzle

@@ -3,26 +3,20 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
 
+#include "common/env.hpp"
 #include "common/error.hpp"
 #include "fault/fault.hpp"
 
 namespace simdts::runtime {
 
 unsigned sweep_threads() {
-  if (const char* v = std::getenv("SIMDTS_SWEEP_THREADS"); v != nullptr) {
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(v, &end, 10);
-    if (end != v && parsed > 0) {
-      return static_cast<unsigned>(parsed);
-    }
-  }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
+  return static_cast<unsigned>(common::env_u64(
+      "SIMDTS_SWEEP_THREADS", hw > 0 ? hw : 1, kMaxSweepThreads));
 }
 
 SweepRunner::SweepRunner(unsigned threads)

@@ -42,8 +42,13 @@
 
 namespace simdts::runtime {
 
-/// Host threads a sweep uses by default: $SIMDTS_SWEEP_THREADS if set to a
-/// positive integer, otherwise the hardware concurrency (>= 1).
+/// Upper bound on $SIMDTS_SWEEP_THREADS: a sweep spawns up to this many
+/// workers, so a larger value is a typo, not a host.
+inline constexpr std::uint64_t kMaxSweepThreads = 1024;
+
+/// Host threads a sweep uses by default: $SIMDTS_SWEEP_THREADS if set, else
+/// the hardware concurrency (>= 1).  A value that is not an integer in
+/// [1, kMaxSweepThreads] throws simdts::ConfigError naming the variable.
 [[nodiscard]] unsigned sweep_threads();
 
 class SweepRunner {

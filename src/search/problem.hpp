@@ -48,44 +48,4 @@ concept TreeProblem = requires(const P& p, const typename P::Node& n,
   { p.f_value(n) } -> std::convertible_to<Bound>;
 };
 
-/// Optional delta-codec extension of TreeProblem: a child node is
-/// representable as its parent plus a one-byte delta (a move index / child
-/// ordinal), so a work stack can store deltas instead of full Node copies
-/// and materialize on pop (search::CompactStack).
-///
-/// Contract:
-///  - decode_delta(parent, d) must reproduce — BIT-EXACTLY, every field —
-///    the child that expand(parent, ...) would emit for that move/slot.
-///    CompactStack feeds decoded nodes straight back into expand() and
-///    is_goal(), so any divergence changes the searched tree.
-///  - encode_delta(parent, child) inverts it: for every child emitted by
-///    expand(parent, ...), decode_delta(parent, encode_delta(parent, child))
-///    == child.
-template <typename P>
-concept DeltaTreeProblem =
-    TreeProblem<P> &&
-    requires(const P& p, const typename P::Node& parent,
-             const typename P::Node& child, std::uint8_t delta) {
-      { p.encode_delta(parent, child) } -> std::same_as<std::uint8_t>;
-      { p.decode_delta(parent, delta) } -> std::same_as<typename P::Node>;
-    };
-
-/// Optional O(1)-backtrack refinement of DeltaTreeProblem: undo_delta
-/// reconstructs the parent from a child, the delta that created the child,
-/// and the delta that created the parent (`parent_delta`; only consulted
-/// when the parent is not a stored base node, i.e. the caller always has it
-/// from the delta path).  Must satisfy
-///   undo_delta(decode_delta(parent, d), d, <parent's delta>) == parent.
-/// Domains without an inverse (e.g. hash-generated trees) simply omit it;
-/// CompactStack then backtracks by replaying the delta path from the stored
-/// base node.
-template <typename P>
-concept UndoDeltaProblem =
-    DeltaTreeProblem<P> &&
-    requires(const P& p, const typename P::Node& child, std::uint8_t delta,
-             std::uint8_t parent_delta) {
-      { p.undo_delta(child, delta, parent_delta) }
-          -> std::same_as<typename P::Node>;
-    };
-
 }  // namespace simdts::search

@@ -169,8 +169,7 @@ class WorkStack {
   [[nodiscard]] std::size_t capacity() const noexcept { return cap_; }
 
   /// Heap bytes of the backing buffer (the bytes-per-lane metric of the
-  /// mega-P benchmarks; the header is excluded, as in
-  /// CompactStack::memory_bytes).
+  /// mega-P benchmarks; the header is excluded).
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
     return cap_ * sizeof(Node);
   }

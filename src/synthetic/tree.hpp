@@ -83,29 +83,6 @@ class Tree {
   [[nodiscard]] bool is_goal(const Node&) const { return false; }
   [[nodiscard]] search::Bound f_value(const Node&) const { return 0; }
 
-  /// Delta codec (search::DeltaTreeProblem): a child is its parent plus the
-  /// child-slot index, because the whole tree shape is the pure hash of
-  /// (parent id, slot).  The hash is not invertible, so encoding searches the
-  /// (at most max_children <= 255) slots for the one whose hash matches;
-  /// there is no undo_delta — compact stacks backtrack by replaying the
-  /// delta path from the stored base node.
-  [[nodiscard]] std::uint8_t encode_delta(const Node& parent,
-                                          const Node& child) const {
-    for (std::uint32_t i = 0; i < params_.max_children; ++i) {
-      if (hash2(parent.id, 0x4348494C44ULL + i) == child.id) {
-        return static_cast<std::uint8_t>(i);
-      }
-    }
-    return 0;  // unreachable for children actually emitted by expand()
-  }
-
-  /// Recomputes slot `delta`'s child with exactly expand()'s arithmetic.
-  [[nodiscard]] Node decode_delta(const Node& n, std::uint8_t delta) const {
-    const std::uint64_t h = hash2(n.id, 0x4348494C44ULL + delta);
-    return Node{h, static_cast<std::uint16_t>(n.depth + 1),
-                drift_climate(n.climate, h)};
-  }
-
   [[nodiscard]] const Params& params() const { return params_; }
 
   /// Stateless 64-bit mix of (a, b) — the only source of tree shape.
@@ -139,6 +116,5 @@ class Tree {
 };
 
 static_assert(search::TreeProblem<Tree>);
-static_assert(search::DeltaTreeProblem<Tree>);
 
 }  // namespace simdts::synthetic

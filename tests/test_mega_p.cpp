@@ -6,8 +6,7 @@
 //    arithmetic all take their ugly branches; and
 //  - result drift at P = 2^20: the mega-P configuration must stay a pure
 //    function of (problem, P, config, fault plan) — bit-identical across
-//    1/2/8 host threads, with and without faults armed, on both stack
-//    representations.
+//    1/2/8 host threads, with and without faults armed.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -29,12 +28,11 @@ using synthetic::Tree;
 /// stay idle — exactly the sparse regime the summary planes exist for.
 Tree small_tree() { return Tree(synthetic::Params{42, 4, 0.6, 16}); }
 
-template <typename EngineT>
 IterationStats run_once(const Tree& tree, std::uint32_t p, unsigned threads,
                         const fault::FaultPlan* plan) {
   simd::ThreadPool pool(threads);
   simd::Machine machine(p, simd::cm2_cost_model(), &pool);
-  EngineT engine(tree, machine, gp_static(0.9));
+  Engine<Tree> engine(tree, machine, gp_static(0.9));
   if (plan != nullptr) engine.arm_faults(plan);
   return engine.run_iteration(search::kUnbounded);
 }
@@ -42,31 +40,24 @@ IterationStats run_once(const Tree& tree, std::uint32_t p, unsigned threads,
 TEST(MegaP, NonPowerOf64AbovePow16IsThreadCountInvariant) {
   const Tree tree = small_tree();
   const std::uint32_t p = 70001;  // > 2^16, not a multiple of 64
-  const IterationStats base =
-      run_once<Engine<Tree>>(tree, p, 1, nullptr);
+  const IterationStats base = run_once(tree, p, 1, nullptr);
   // The full tree fits one iteration; expansion count must match serial DFS.
   const search::SerialIterationResult serial =
       search::serial_dfs(tree, tree.root(), search::kUnbounded);
   EXPECT_EQ(base.nodes_expanded, serial.nodes_expanded);
   for (const unsigned threads : {2u, 8u}) {
-    EXPECT_EQ(base, (run_once<Engine<Tree>>(tree, p, threads, nullptr)))
+    EXPECT_EQ(base, run_once(tree, p, threads, nullptr))
         << "threads=" << threads;
-  }
-  // CompactStack changes the representation, never the results.
-  for (const unsigned threads : {1u, 8u}) {
-    EXPECT_EQ(base, (run_once<CompactEngine<Tree>>(tree, p, threads, nullptr)))
-        << "compact threads=" << threads;
   }
 }
 
 TEST(MegaP, TwoToTheTwentyLanesBitIdenticalAcrossThreads) {
   const Tree tree = small_tree();
   const std::uint32_t p = 1u << 20;
-  const IterationStats base =
-      run_once<CompactEngine<Tree>>(tree, p, 1, nullptr);
+  const IterationStats base = run_once(tree, p, 1, nullptr);
   EXPECT_GT(base.nodes_expanded, 0u);
   for (const unsigned threads : {2u, 8u}) {
-    EXPECT_EQ(base, (run_once<CompactEngine<Tree>>(tree, p, threads, nullptr)))
+    EXPECT_EQ(base, run_once(tree, p, threads, nullptr))
         << "threads=" << threads;
   }
 }
@@ -82,11 +73,11 @@ TEST(MegaP, TwoToTheTwentyLanesWithFaultPlanArmed) {
       {5, fault::FaultKind::kKillPe, 70001, 0},
       {7, fault::FaultKind::kRevivePe, 70001, 0},
   });
-  const IterationStats base = run_once<CompactEngine<Tree>>(tree, p, 1, &plan);
+  const IterationStats base = run_once(tree, p, 1, &plan);
   EXPECT_EQ(base.pes_killed, 3u);
   EXPECT_EQ(base.pes_revived, 1u);
   for (const unsigned threads : {2u, 8u}) {
-    EXPECT_EQ(base, (run_once<CompactEngine<Tree>>(tree, p, threads, &plan)))
+    EXPECT_EQ(base, run_once(tree, p, threads, &plan))
         << "threads=" << threads;
   }
 }
@@ -95,11 +86,12 @@ TEST(MegaP, TrimMemoryReleasesDrainedLanesAfterRun) {
   const Tree tree = small_tree();
   const std::uint32_t p = 1u << 17;
   simd::Machine machine(p, simd::cm2_cost_model());
-  CompactEngine<Tree> engine(tree, machine, gp_static(0.9));
+  Engine<Tree> engine(tree, machine, gp_static(0.9));
   (void)engine.run_iteration(search::kUnbounded);
+  EXPECT_GT(engine.stack_memory_bytes(), 0u);  // lanes keep their buffers
   engine.trim_memory();
   // Every stack drained by the completed iteration returns its heap to the
-  // allocator: the pooled-release path of the memory-bounded design.
+  // allocator: the pooled-release path between runs.
   EXPECT_EQ(engine.stack_memory_bytes(), 0u);
 }
 

@@ -673,6 +673,8 @@ const Finding* only_rule(const std::vector<Finding>& fs,
   }
   return hit;
 }
+// The result points into `fs`, so a temporary vector would leave it dangling.
+const Finding* only_rule(std::vector<Finding>&&, const std::string&) = delete;
 
 TEST(SimdlintEffects, AllocationThreeCallsDeepAcrossTusNamesEveryFrame) {
   const auto fs = effects(
@@ -1108,10 +1110,9 @@ TEST(SimdlintTaint, LaneIndexedSelectionIsNotAFlow) {
       "  body(0u, 1u);\n"
       "}\n"
       "}\n";
-  EXPECT_NE(only_rule(taint({{"src/lb/a.cpp", leak}},
-                            "sink member nodes_expanded\n"),
-                      "taint-partition-to-result"),
-            nullptr);
+  const auto fs =
+      taint({{"src/lb/a.cpp", leak}}, "sink member nodes_expanded\n");
+  EXPECT_NE(only_rule(fs, "taint-partition-to-result"), nullptr);
 }
 
 TEST(SimdlintTaint, CommutativeMergeLaundersAndOtherKindsAreUnjustified) {
@@ -1192,9 +1193,9 @@ TEST(SimdlintTaint, OrphanedMarkersAreStaleEvenInSubsetRuns) {
       "  x = 1;\n"
       "}\n"
       "}\n";
-  const Finding* m = only_rule(
-      taint({{"src/lb/a.cpp", merge_orphan}}, "", /*subset=*/true),
-      "stale-merge");
+  const auto merge_fs =
+      taint({{"src/lb/a.cpp", merge_orphan}}, "", /*subset=*/true);
+  const Finding* m = only_rule(merge_fs, "stale-merge");
   ASSERT_NE(m, nullptr);
   EXPECT_EQ(m->line, 4u);
 }

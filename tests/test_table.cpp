@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "analysis/report.hpp"
+#include "common/env.hpp"
 #include "common/error.hpp"
+#include "runtime/sweep.hpp"
 
 #include <cstdio>
 #include <cstdlib>
@@ -103,6 +105,8 @@ class ScopedEnv {
   const char* name_;
 };
 
+using common::env_u64;
+
 TEST(EnvU64, UnsetOrEmptyFallsBackAndPlainNumbersParse) {
   const char* name = "SIMDTS_TEST_ENV_U64";
   ::unsetenv(name);
@@ -124,6 +128,11 @@ TEST(EnvU64, UnsetOrEmptyFallsBackAndPlainNumbersParse) {
     EXPECT_EQ(env_u64(name, 77, std::numeric_limits<std::uint32_t>::max()),
               std::numeric_limits<std::uint32_t>::max());
   }
+  {
+    // The sweep's thread knob goes through the same parser.
+    const ScopedEnv env("SIMDTS_SWEEP_THREADS", "3");
+    EXPECT_EQ(runtime::sweep_threads(), 3u);
+  }
 }
 
 TEST(EnvU64, MalformedValuesThrowConfigErrorNamingTheVariable) {
@@ -142,10 +151,25 @@ TEST(EnvU64, MalformedValuesThrowConfigErrorNamingTheVariable) {
   }
   // A machine size past the 32-bit PE index range is rejected rather than
   // truncated (4294967296 would otherwise become P = 0).
-  const ScopedEnv env(name, "4294967296");
-  EXPECT_THROW(
-      (void)env_u64(name, 77, std::numeric_limits<std::uint32_t>::max()),
-      ConfigError);
+  {
+    const ScopedEnv env(name, "4294967296");
+    EXPECT_THROW(
+        (void)env_u64(name, 77, std::numeric_limits<std::uint32_t>::max()),
+        ConfigError);
+  }
+  // The sweep's thread knob rejects a prefix, a wrapped negative, a value
+  // that would truncate to zero threads, and one past its explicit cap.
+  for (const char* bad : {"8k", "-1", "4294967296", "1025"}) {
+    const ScopedEnv env("SIMDTS_SWEEP_THREADS", bad);
+    try {
+      (void)runtime::sweep_threads();
+      ADD_FAILURE() << "SIMDTS_SWEEP_THREADS accepted '" << bad << "'";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("SIMDTS_SWEEP_THREADS"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace
