@@ -16,16 +16,20 @@
 // many stacks are non-empty / splittable / empty) is maintained incrementally
 // — the expansion cycle walks only the active lanes (one word load covers 64
 // lanes; a fully idle or dead block costs a single test) and accumulates
-// census *deltas*; work transfers reclassify exactly the donor and receiver
-// they move nodes between.  Matching enumerations are word-level
-// popcount/countr_zero walks over the same planes.  Children of a popped
-// node are staged in a flat per-lane buffer and appended to the stack in one
-// batch (one capacity check), with the staging buffer cleared once per
-// 64-lane word, not once per node.  When the Machine carries a thread pool,
-// a cycle is spread over host lanes at word granularity — no two host lanes
-// ever write the same flag word — with per-lane accumulators (counts, goals,
-// pruned bounds) that are reduced in lane order after the barrier, so no
-// mutex is taken inside the loop and the reduction order is fixed.
+// census *deltas*.  A transfer round claims its pairs' lanes on the flag
+// planes, moves every pair's donation stack to stack, and reclassifies
+// exactly those donors and receivers from one state byte per pair.
+// Matching enumerations are word-level popcount/countr_zero walks over the
+// same planes.  Children of a popped node are staged in a flat per-lane
+// buffer and appended to the stack in one batch (one capacity check), with
+// the staging buffer cleared once per 64-lane word, not once per node.
+// When the Machine carries a thread pool, a cycle is spread over host lanes
+// at word granularity — no two host lanes ever write the same flag word —
+// with per-lane accumulators (counts, goals, pruned bounds) that are reduced
+// in lane order after the barrier, so no mutex is taken inside the loop and
+// the reduction order is fixed.  A transfer round's stack pass is spread
+// over the same pool by pair range; its per-pair outputs are written back
+// serially in pair order.
 //
 // Determinism: the run is a pure function of (problem, P, config, cost
 // model, fault plan).  Host threads, if provided via the Machine's pool, only
@@ -62,6 +66,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -879,39 +884,107 @@ class Engine {
     trigger.begin_search_phase();
   }
 
-  /// Executes split transfers for matched pairs, reclassifying each donor
-  /// and receiver in the census as it goes; returns the count of transfers
-  /// that actually happened.  An armed drop budget makes the router lose the
-  /// next messages: the donated half never leaves the donor (so no work is
-  /// lost — the donor retransmits at a later phase), and the loss is counted
-  /// in stats.messages_dropped.
+  /// Executes split transfers for matched pairs as one lock-step router
+  /// round — every pair moves its work at once, as on the Section 2
+  /// machine — and returns the count of transfers that actually happened.
+  /// Three passes:
+  ///  1. Claim (serial, pair order).  SimdSan's dead-lane checks run first,
+  ///     on every pair.  An armed drop budget makes the router lose the
+  ///     round's first messages: the donated half never leaves the donor
+  ///     (so no work is lost — the donor retransmits at a later phase), and
+  ///     the loss is counted in stats.messages_dropped.  Every remaining
+  ///     pair is checked against the flag planes and claims its two lanes
+  ///     (claim_transfer_pairs), so an invalid pair list throws EngineError
+  ///     before any stack is touched.
+  ///  2. Stacks (transfer_stacks), spread over the machine's thread pool:
+  ///     each pair moves its donation straight from the donor's stack into
+  ///     the receiver's and records one state byte.
+  ///  3. Write-back (serial, pair order): the flag planes, their summaries
+  ///     and the census are updated from those bytes, never from a stack.
+  /// Claimed lanes are distinct, so the stack pass is a pure per-pair
+  /// function and the round is identical for any lane count.  Nothing is
+  /// allocated per transfer.
   std::uint64_t transfer_split(const std::vector<simd::Pair>& pairs,
                                IterationStats& stats) {
-    std::uint64_t done = 0;
-    for (const auto& [donor, receiver] : pairs) {
 #ifdef SIMDTS_SANITIZE
+    for (const auto& [donor, receiver] : pairs) {
       san_dead_.check_alive(donor, "donate");
       san_dead_.check_alive(receiver, "receive");
+    }
 #endif
-      if (drop_budget_ > 0) {
-        --drop_budget_;
-        ++stats.messages_dropped;
-        continue;
-      }
-      if (!stacks_[donor].splittable() || !stacks_[receiver].empty()) {
+    const auto dropped = static_cast<std::size_t>(
+        std::min<std::uint64_t>(drop_budget_, pairs.size()));
+    drop_budget_ -= dropped;
+    stats.messages_dropped += dropped;
+    const std::span<const simd::Pair> moved =
+        std::span<const simd::Pair>(pairs).subspan(dropped);
+    claim_transfer_pairs(moved, busy_flags_, idle_flags_, cfg_, fault_clock_);
+    if (moved.empty()) return 0;
+
+    pair_state_.resize(moved.size());
+    transfer_stacks(moved);
+
+    // Every receiver turns non-empty and every donor stays so; only the
+    // splittable count depends on the moved stacks.
+    std::int64_t d_splittable = 0;
+    for (std::size_t k = 0; k < moved.size(); ++k) {
+      const std::uint8_t state = pair_state_[k];
+      if ((state & kPairDiverged) != 0) {
         throw EngineError(
-            "matched transfer pair violates its busy/idle preconditions",
+            "matched transfer pair's stacks disagree with its busy/idle flags",
             cfg_.name(), machine_.size(), fault_clock_);
       }
-      census_remove(donor);
-      census_remove(receiver);
-      search::receive(stacks_[receiver],
-                      search::split(stacks_[donor], cfg_.split));
-      census_add(donor);
-      census_add(receiver);
-      ++done;
+      const auto [donor, receiver] = moved[k];
+      const bool donor_split = (state & kDonorSplittable) != 0;
+      const bool receiver_split = (state & kReceiverSplittable) != 0;
+      if (donor_split) busy_flags_.set(donor);
+      if (receiver_split) busy_flags_.set(receiver);
+      d_splittable += static_cast<std::int64_t>(donor_split) +
+                      static_cast<std::int64_t>(receiver_split) - 1;
+      resync_lane_summaries(donor);
+      resync_lane_summaries(receiver);
     }
-    return done;
+    const auto n = static_cast<std::uint32_t>(moved.size());
+    counts_.nonempty += n;
+    counts_.empty -= n;
+    counts_.splittable = static_cast<std::uint32_t>(
+        static_cast<std::int64_t>(counts_.splittable) + d_splittable);
+    return n;
+  }
+
+  /// The stack pass of transfer_split, over contiguous pair ranges on the
+  /// thread pool (64-pair aligned, so a round of at most 64 pairs is one
+  /// inline chunk).  The claim pass made every lane appear in at most one
+  /// pair, so each pair touches only its own two stacks and its own state
+  /// byte.  The busy/idle preconditions are re-checked on the stacks
+  /// themselves: a pair whose stacks disagree with the claimed flags moves
+  /// nothing and is marked kPairDiverged for the write-back to report.
+  // SIMDLINT-REGION(lockstep)
+  void transfer_stacks(std::span<const simd::Pair> pairs) {
+    std::uint8_t* const state = pair_state_.data();
+    // SIMDLINT-SOURCE(partition) — the pair-range bounds vary with the lane
+    // count; the outputs are indexed by pair, never by lane.
+    auto body = [&](unsigned /*lane*/, std::size_t begin, std::size_t end) {
+      for (std::size_t k = begin; k < end; ++k) {
+        Stack& donor = stacks_[pairs[k].donor];
+        Stack& receiver = stacks_[pairs[k].receiver];
+        if (!donor.splittable() || !receiver.empty()) {
+          state[k] = kPairDiverged;
+          continue;
+        }
+        search::split_into(donor, cfg_.split, receiver);
+        state[k] = static_cast<std::uint8_t>(
+            (donor.splittable() ? kDonorSplittable : 0) |
+            (receiver.splittable() ? kReceiverSplittable : 0));
+      }
+    };
+    simd::ThreadPool* pool = machine_.pool();
+    if (pool != nullptr && pool->size() > 1) {
+      pool->parallel_for_lanes_aligned(pairs.size(),
+                                       simd::BitPlane::kWordBits, body);
+    } else {
+      body(0, 0, pairs.size());
+    }
   }
 
   /// Frye's first scheme: each busy processor hands single nodes to as many
@@ -974,6 +1047,12 @@ class Engine {
   Counts counts_;               ///< incrementally maintained census
   std::vector<LaneScratch> lane_scratch_;
   std::vector<simd::Pair> pairs_;  ///< reused across lb rounds
+  /// One byte per moved pair of a transfer round (transfer_stacks' output,
+  /// indexed by pair), reused across rounds.
+  std::vector<std::uint8_t> pair_state_;
+  static constexpr std::uint8_t kDonorSplittable = 1;
+  static constexpr std::uint8_t kReceiverSplittable = 2;
+  static constexpr std::uint8_t kPairDiverged = 4;  ///< nothing moved
   std::vector<simd::PeIndex> donors_buf_;     ///< reused per give-one round
   std::vector<simd::PeIndex> receivers_buf_;  ///< reused per give-one round
   std::vector<Node> goal_nodes_;

@@ -3,7 +3,9 @@
 #include <bit>
 #include <cstdint>
 #include <span>
+#include <string>
 
+#include "common/error.hpp"
 #include "sanitizer/sanitizer.hpp"
 
 namespace simdts::lb {
@@ -78,6 +80,26 @@ void neighbor_pairs_into(const simd::BitPlane& busy_flags,
       out.push_back(simd::Pair{static_cast<simd::PeIndex>(i),
                                static_cast<simd::PeIndex>(j)});
     }
+  }
+}
+
+void claim_transfer_pairs(std::span<const simd::Pair> pairs,
+                          simd::BitPlane& busy_flags,
+                          simd::BitPlane& idle_flags, const SchemeConfig& cfg,
+                          std::uint64_t cycle) {
+  const std::size_t p = busy_flags.size();
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    const auto [donor, receiver] = pairs[k];
+    if (donor >= p || receiver >= p || !busy_flags.test(donor) ||
+        !idle_flags.test(receiver)) {
+      throw EngineError(
+          "matched transfer pair " + std::to_string(k) + " (" +
+              std::to_string(donor) + " -> " + std::to_string(receiver) +
+              ") violates its busy/idle preconditions",
+          cfg.name(), static_cast<std::uint32_t>(p), cycle);
+    }
+    busy_flags.reset(donor);
+    idle_flags.reset(receiver);
   }
 }
 

@@ -12,6 +12,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "lb/config.hpp"
@@ -64,5 +66,19 @@ void neighbor_pairs_into(const simd::BitPlane& busy_flags,
                          const simd::SummaryPlane& busy_summary,
                          const simd::BitPlane& idle_flags,
                          std::vector<simd::Pair>& out);
+
+/// The claim pass of a split-transfer round (lb::Engine::transfer_split).
+/// In pair order it checks each donor is busy and each receiver idle on the
+/// flag planes, and claims both lanes by clearing those bits — so a lane
+/// named by two pairs, or both as donor and receiver, fails at its second
+/// appearance.  It touches only the two planes: no stack, no summary.  The
+/// caller moves the work for the claimed pairs, then sets the bits again
+/// and resyncs the summaries from the moved stacks.  Throws EngineError
+/// naming the first failing pair, with `cfg`'s scheme name and `cycle` as
+/// its context; no work has moved at that point.
+void claim_transfer_pairs(std::span<const simd::Pair> pairs,
+                          simd::BitPlane& busy_flags,
+                          simd::BitPlane& idle_flags, const SchemeConfig& cfg,
+                          std::uint64_t cycle);
 
 }  // namespace simdts::lb

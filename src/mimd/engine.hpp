@@ -106,7 +106,7 @@ class MimdEngine {
       std::uint32_t to;
       std::uint32_t from;
       bool is_request;
-      std::vector<Node> payload;  // response only
+      search::WorkStack<Node> payload;  // response only
     };
     // Ring buffer of per-step delivery lists.
     const std::uint32_t horizon = cfg_.latency + 1;
@@ -157,7 +157,7 @@ class MimdEngine {
           auto& victim = stacks[m.to];
           Message resp{m.from, m.to, false, {}};
           if (victim.splittable()) {
-            resp.payload = search::split(victim, cfg_.split);
+            search::split_into(victim, cfg_.split, resp.payload);
             pes[m.to].serving = true;  // the victim loses one step
             ++stats.service_steps;
             ++stats.steals;

@@ -18,8 +18,9 @@
 //                used by the sensitivity ablation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <utility>
 
 #include "search/work_stack.hpp"
 
@@ -34,30 +35,33 @@ enum class SplitStrategy : std::uint8_t {
 /// Name for reports.
 [[nodiscard]] const char* to_string(SplitStrategy s);
 
-/// Splits `donor` in place, returning the donated nodes in bottom-to-top
-/// order.  Preconditions: donor.splittable().  Postconditions: neither part
-/// is empty, the parts are disjoint, and their union is the original stack.
+/// Splits `donor` in place and pushes the donated nodes onto `receiver` in
+/// bottom-to-top order, so that a receiving stack keeps depth-first order.
+/// This is the one split routine: the lock-step engine moves work straight
+/// from donor stack to receiver stack with it, and the MIMD comparator fills
+/// a message payload stack.  Nothing is allocated beyond the receiver's own
+/// amortized growth.  Preconditions: donor.splittable() and &donor !=
+/// &receiver.  Postconditions: neither part is empty, the parts are
+/// disjoint, and their union is the original stack.
 template <typename Node>
-[[nodiscard]] std::vector<Node> split(WorkStack<Node>& donor,
-                                      SplitStrategy strategy) {
-  std::vector<Node> donated;
+void split_into(WorkStack<Node>& donor, SplitStrategy strategy,
+                WorkStack<Node>& receiver) {
   switch (strategy) {
     case SplitStrategy::kBottomNode:
-      donated.push_back(donor.take_bottom());
+      receiver.push(donor.take_bottom());
       break;
     case SplitStrategy::kTopNode:
-      donated.push_back(donor.pop());
+      receiver.push(donor.pop());
       break;
     case SplitStrategy::kHalf: {
       // Keep indices 1, 3, 5, ...; donate 0, 2, 4, ...  Donating from every
       // depth keeps both halves representative of the whole stack.  The kept
       // nodes are compacted towards the bottom in place.
       const std::size_t n = donor.size();
-      donated.reserve((n + 1) / 2);
       std::size_t kept = 0;
       for (std::size_t i = 0; i < n; ++i) {
         if (i % 2 == 0) {
-          donated.push_back(std::move(donor[i]));
+          receiver.push(std::move(donor[i]));
         } else {
           if (kept != i) donor[kept] = std::move(donor[i]);
           ++kept;
@@ -67,17 +71,14 @@ template <typename Node>
       break;
     }
   }
-  return donated;
 }
 
-/// Appends donated nodes to `receiver`, preserving bottom-to-top order so
-/// that depth-first order is maintained on the receiving side.
+/// Moves every node of a donated payload onto `receiver`, bottom first, so
+/// that depth-first order is maintained on the receiving side; leaves
+/// `donated` empty.
 template <typename Node>
-void receive(WorkStack<Node>& receiver, std::vector<Node>&& donated) {
-  for (auto& n : donated) {
-    receiver.push(std::move(n));
-  }
-  donated.clear();
+void receive(WorkStack<Node>& receiver, WorkStack<Node>&& donated) {
+  while (!donated.empty()) receiver.push(donated.take_bottom());
 }
 
 }  // namespace simdts::search

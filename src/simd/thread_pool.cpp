@@ -29,12 +29,15 @@ ThreadPool::~ThreadPool() {
   }
 }
 
+std::size_t ThreadPool::chunk_size(std::size_t n,
+                                   std::size_t align) const noexcept {
+  const std::size_t chunk = (n + lanes_ - 1) / lanes_;
+  return align > 1 ? (chunk + align - 1) / align * align : chunk;
+}
+
 // SIMDLINT-SOURCE(partition) — the chunk split depends on the lane count
 void ThreadPool::run_lane(unsigned lane) {
-  std::size_t chunk = (n_ + lanes_ - 1) / lanes_;
-  if (align_ > 1) {
-    chunk = (chunk + align_ - 1) / align_ * align_;
-  }
+  const std::size_t chunk = chunk_size(n_, align_);
   const std::size_t begin = std::min(n_, lane * chunk);
   const std::size_t end = std::min(n_, begin + chunk);
   if (begin < end) {
@@ -66,14 +69,18 @@ void ThreadPool::worker(unsigned lane) {
 void ThreadPool::dispatch(std::size_t n, std::size_t align, void* ctx,
                           Trampoline fn) {
   if (n == 0) return;
-  if (lanes_ == 1) {
+  if (align == 0) align = 1;
+  // One non-empty chunk (a single lane, or n within one aligned chunk): run
+  // it here as lane 0 — exactly what the workers would do, minus the
+  // mutex/condvar round-trip.
+  if (chunk_size(n, align) >= n) {
     fn(ctx, 0, 0, n);
     return;
   }
   {
     std::unique_lock lock(mu_);
     n_ = n;
-    align_ = align == 0 ? 1 : align;
+    align_ = align;
     ctx_ = ctx;
     fn_ = fn;
     std::fill(errors_.begin(), errors_.end(), nullptr);

@@ -14,8 +14,9 @@
 // accumulator slots after the barrier instead of merging under a mutex inside
 // the hot loop.
 //
-// On a single-core host (or with threads == 1) the pool degrades to an inline
-// loop with zero synchronisation overhead.
+// On a single-core host (or with threads == 1), and for any dispatch whose
+// range fits in one aligned chunk, the pool degrades to an inline call with
+// zero synchronisation overhead.
 #pragma once
 
 #include <condition_variable>
@@ -55,7 +56,9 @@ class ThreadPool {
   /// caller reduces them after the call returns (i.e. at the barrier).  Lanes
   /// whose chunk is empty are not invoked.  Exceptions thrown by the body are
   /// rethrown (the first one encountered, by lane order) after all lanes
-  /// finish.
+  /// finish.  When the partition has a single non-empty chunk (n fits in one
+  /// aligned chunk), body(0, 0, n) runs inline on the calling thread and no
+  /// worker is woken.
   template <typename F>
   void parallel_for_lanes_aligned(std::size_t n, std::size_t align, F&& body) {
     using Fn = std::remove_reference_t<F>;
@@ -70,6 +73,9 @@ class ThreadPool {
   using Trampoline = void (*)(void*, unsigned, std::size_t, std::size_t);
 
   void dispatch(std::size_t n, std::size_t align, void* ctx, Trampoline fn);
+  /// Chunk length of the aligned partition of [0, n) over size() lanes.
+  [[nodiscard]] std::size_t chunk_size(std::size_t n,
+                                       std::size_t align) const noexcept;
   void worker(unsigned lane);
   void run_lane(unsigned lane);
 

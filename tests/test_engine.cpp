@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <tuple>
+#include <vector>
 
+#include "baselines/baselines.hpp"
+#include "fault/fault.hpp"
 #include "puzzle/fifteen.hpp"
 #include "puzzle/instances.hpp"
 #include "puzzle/workloads.hpp"
@@ -280,6 +285,161 @@ TEST(Engine, SplitStrategiesAllConserveWork) {
     EXPECT_EQ(rs.total.nodes_expanded, serial.total_expanded)
         << to_string(strat);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Split-transfer rounds: the stack pass spreads pairs over the pool, so a
+// round must come out the same for every lane count — every split strategy,
+// every matching scheme, multiple transfers, and a drop budget that runs out
+// in the middle of a round.
+// ---------------------------------------------------------------------------
+
+/// What a run leaves behind: its stats, its goals, and every lane's stack.
+template <typename Node, typename Stats>
+struct TransferOutcome {
+  Stats stats;
+  std::vector<Node> goals;
+  std::vector<std::size_t> stack_sizes;
+
+  friend bool operator==(const TransferOutcome&,
+                         const TransferOutcome&) = default;
+};
+
+template <typename Problem, typename Call>
+auto run_transfers(const Problem& problem, std::uint32_t p,
+                   simd::ThreadPool* pool, const SchemeConfig& cfg,
+                   const fault::FaultPlan* plan, Call&& call) {
+  simd::Machine machine(p, simd::cm2_cost_model(), pool);
+  Engine<Problem> engine(problem, machine, cfg);
+  if (plan != nullptr) engine.arm_faults(plan);
+  TransferOutcome<typename Problem::Node, decltype(call(engine))> out{
+      call(engine), engine.goal_nodes(), {}};
+  for (std::size_t i = 0; i < p; ++i) {
+    out.stack_sizes.push_back(engine.stacks()[i].size());
+  }
+  return out;
+}
+
+/// Runs `cfg` with no pool, then with every pool in `pools`, and expects
+/// the same outcome each time; returns the no-pool outcome.
+template <typename Problem, typename Call>
+auto expect_pool_invariant(
+    const Problem& problem, std::uint32_t p, const SchemeConfig& cfg,
+    const fault::FaultPlan* plan, Call&& call,
+    const std::vector<std::unique_ptr<simd::ThreadPool>>& pools) {
+  const auto base = run_transfers(problem, p, nullptr, cfg, plan, call);
+  for (const auto& pool : pools) {
+    EXPECT_TRUE(base == run_transfers(problem, p, pool.get(), cfg, plan, call))
+        << cfg.name() << " P=" << p << " lanes=" << pool->size()
+        << (plan != nullptr ? " drops" : "");
+  }
+  return base;
+}
+
+TEST(Engine, TransfersAreThreadCountInvariant) {
+  std::vector<std::unique_ptr<simd::ThreadPool>> pools;
+  for (const unsigned lanes : {1u, 2u, 3u, 8u}) {
+    pools.push_back(std::make_unique<simd::ThreadPool>(lanes));
+  }
+  const auto exhaustive = [](auto& e) { return e.run_iteration(kUnbounded); };
+  const auto first = [](auto& e) { return e.run_first_solution(kUnbounded); };
+
+  // 9-queens: 352 goals, and rounds of up to a few hundred pairs, so the
+  // stack pass spans several 64-pair chunks.  First-solution runs stop
+  // with work still on the stacks.
+  const queens::Queens q(9);
+  std::vector<SchemeConfig> cfgs;
+  for (const auto strat :
+       {search::SplitStrategy::kBottomNode, search::SplitStrategy::kHalf,
+        search::SplitStrategy::kTopNode}) {
+    for (SchemeConfig cfg :
+         {gp_static(0.9), ngp_static(0.9), baselines::frye_neighbor()}) {
+      cfg.split = strat;
+      cfgs.push_back(cfg);
+    }
+  }
+  cfgs.push_back(gp_dp());  // D^P: multiple transfer rounds per phase
+  // Five lost messages: the round that follows cycle 4 matches eight pairs,
+  // so the budget runs out partway through it.
+  const fault::FaultPlan drops({{4, fault::FaultKind::kDropMessages, 0, 5}});
+  for (const std::uint32_t p : {4097u, 1u << 14}) {
+    for (const SchemeConfig& cfg : cfgs) {
+      const auto base =
+          expect_pool_invariant(q, p, cfg, nullptr, exhaustive, pools);
+      EXPECT_EQ(base.stats.goals_found, 352u) << cfg.name();
+      EXPECT_GT(base.stats.transfers, 0u) << cfg.name();
+      expect_pool_invariant(q, p, cfg, nullptr, first, pools);
+    }
+    const auto dropped =
+        expect_pool_invariant(q, p, gp_static(0.9), &drops, exhaustive, pools);
+    EXPECT_EQ(dropped.stats.messages_dropped, 5u);
+    expect_pool_invariant(q, p, gp_static(0.9), &drops, first, pools);
+  }
+
+  // The queens tree never fills these machines, so GP and nGP pair the
+  // same lanes above.  A ~41k-node synthetic tree at P = 4097 has rounds
+  // with more busy than idle lanes, where GP's pointer picks the donors.
+  const synthetic::Tree tree(synthetic::Params{42, 4, 0.6, 13});
+  const auto gp =
+      expect_pool_invariant(tree, 4097, gp_static(0.9), nullptr, exhaustive,
+                            pools);
+  const auto ngp =
+      expect_pool_invariant(tree, 4097, ngp_static(0.9), nullptr, exhaustive,
+                            pools);
+  EXPECT_NE(gp.stats.transfers, ngp.stats.transfers);
+}
+
+// The claim pass rejects a pair list before any stack is touched: each lane
+// may appear once, donors must be busy and receivers idle.
+TEST(Engine, ClaimPassRejectsInvalidPairsBeforeAnyStackMoves) {
+  constexpr std::size_t kP = 130;  // spans three plane words
+  // Lanes 0..63 busy (two nodes each), 64..129 idle (empty).
+  std::vector<search::WorkStack<int>> stacks(kP);
+  simd::BitPlane busy(kP);
+  simd::BitPlane idle(kP);
+  for (std::size_t i = 0; i < kP; ++i) {
+    if (i < 64) {
+      stacks[i].push(1);
+      stacks[i].push(2);
+      busy.set(i);
+    } else {
+      idle.set(i);
+    }
+  }
+  const auto sizes = [&] {
+    std::vector<std::size_t> out;
+    for (const auto& st : stacks) out.push_back(st.size());
+    return out;
+  };
+  const std::vector<std::size_t> before = sizes();
+  const SchemeConfig cfg = gp_static(0.9);
+  const std::vector<std::vector<simd::Pair>> bad = {
+      {{3, 70}, {3, 71}},     // repeated donor
+      {{3, 70}, {4, 70}},     // repeated receiver
+      {{3, 70}, {70, 129}},   // a receiver donating in the same round
+      {{3, 70}, {100, 71}},   // idle donor
+      {{3, 70}, {4, 5}},      // busy receiver
+      {{3, 70}, {4, 130}},    // receiver past the machine
+  };
+  for (const auto& pairs : bad) {
+    simd::BitPlane b = busy;
+    simd::BitPlane i = idle;
+    EXPECT_THROW(claim_transfer_pairs(pairs, b, i, cfg, 0), EngineError)
+        << pairs[1].donor << "->" << pairs[1].receiver;
+    EXPECT_EQ(sizes(), before);
+  }
+  // A valid list claims exactly its lanes.
+  const std::vector<simd::Pair> good = {{3, 70}, {63, 129}, {0, 64}};
+  simd::BitPlane b = busy;
+  simd::BitPlane i = idle;
+  claim_transfer_pairs(good, b, i, cfg, 0);
+  EXPECT_EQ(b.count(), busy.count() - 3);
+  EXPECT_EQ(i.count(), idle.count() - 3);
+  for (const auto& [d, r] : good) {
+    EXPECT_FALSE(b.test(d));
+    EXPECT_FALSE(i.test(r));
+  }
+  EXPECT_EQ(sizes(), before);
 }
 
 }  // namespace

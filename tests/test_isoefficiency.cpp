@@ -70,8 +70,8 @@ TEST(ExtractCurves, InterpolatesBetweenBracketingPoints) {
   // Hand-built grid: P = 4 with E rising 0.4 -> 0.8 over a decade of W.
   GridResult grid;
   grid.points = {
-      GridPoint{4, 1000, 0.4, 0, 0, 0},
-      GridPoint{4, 10000, 0.8, 0, 0, 0},
+      GridPoint{4, 1000, 0.4, 0, 0, 0, false, {}},
+      GridPoint{4, 10000, 0.8, 0, 0, 0, false, {}},
   };
   const double targets[] = {0.6};
   const auto curves = extract_curves(grid, targets);
@@ -87,8 +87,8 @@ TEST(ExtractCurves, InterpolatesBetweenBracketingPoints) {
 TEST(ExtractCurves, MarksExtrapolatedPoints) {
   GridResult grid;
   grid.points = {
-      GridPoint{4, 1000, 0.4, 0, 0, 0},
-      GridPoint{4, 10000, 0.5, 0, 0, 0},
+      GridPoint{4, 1000, 0.4, 0, 0, 0, false, {}},
+      GridPoint{4, 10000, 0.5, 0, 0, 0, false, {}},
   };
   const double targets[] = {0.9};
   const auto curves = extract_curves(grid, targets);
@@ -100,8 +100,8 @@ TEST(ExtractCurves, MarksExtrapolatedPoints) {
 TEST(ExtractCurves, MultipleMachinesProduceOnePointEach) {
   GridResult grid;
   for (const std::uint32_t p : {4u, 16u, 64u}) {
-    grid.points.push_back(GridPoint{p, 1000, 0.3, 0, 0, 0});
-    grid.points.push_back(GridPoint{p, 100000, 0.9, 0, 0, 0});
+    grid.points.push_back(GridPoint{p, 1000, 0.3, 0, 0, 0, false, {}});
+    grid.points.push_back(GridPoint{p, 100000, 0.9, 0, 0, 0, false, {}});
   }
   const double targets[] = {0.5, 0.7};
   const auto curves = extract_curves(grid, targets);

@@ -160,7 +160,9 @@ TEST(ServiceRequest, RandomTraceIsDeterministicAndOrdered) {
   ASSERT_EQ(a.size(), 64u);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_NO_THROW(service::validate(a[i]));
-    if (i > 0) EXPECT_GE(a[i].arrival_tick, a[i - 1].arrival_tick);
+    if (i > 0) {
+      EXPECT_GE(a[i].arrival_tick, a[i - 1].arrival_tick);
+    }
     EXPECT_LT(a[i].tenant, 4u);
   }
 }

@@ -15,6 +15,15 @@ WorkStack<int> make_stack(std::size_t n) {
   return s;
 }
 
+/// Splits `donor` into a fresh stack and returns its nodes bottom-to-top.
+std::vector<int> split(WorkStack<int>& donor, SplitStrategy strategy) {
+  WorkStack<int> receiver;
+  split_into(donor, strategy, receiver);
+  std::vector<int> out;
+  for (std::size_t i = 0; i < receiver.size(); ++i) out.push_back(receiver[i]);
+  return out;
+}
+
 using Param = std::tuple<SplitStrategy, std::size_t>;
 
 class SplitInvariants : public ::testing::TestWithParam<Param> {};
@@ -95,7 +104,7 @@ TEST(Splitter, HalfAlphaIsBalanced) {
 TEST(Splitter, ReceivePreservesDepthOrder) {
   WorkStack<int> donor = make_stack(6);
   WorkStack<int> receiver;
-  receive(receiver, split(donor, SplitStrategy::kHalf));
+  split_into(donor, SplitStrategy::kHalf, receiver);
   // Received 0, 2, 4 bottom-to-top: popping gives deepest first.
   EXPECT_EQ(receiver.pop(), 4);
   EXPECT_EQ(receiver.pop(), 2);
@@ -105,11 +114,28 @@ TEST(Splitter, ReceivePreservesDepthOrder) {
 TEST(Splitter, ReceiveAppendsAboveExistingWork) {
   WorkStack<int> receiver;
   receiver.push(100);
-  std::vector<int> donated{1, 2};
+  WorkStack<int> donated;
+  donated.push(1);
+  donated.push(2);
   receive(receiver, std::move(donated));
+  EXPECT_TRUE(donated.empty());
   EXPECT_EQ(receiver.size(), 3u);
   EXPECT_EQ(receiver.bottom(), 100);
   EXPECT_EQ(receiver.pop(), 2);
+  EXPECT_EQ(receiver.pop(), 1);
+}
+
+TEST(Splitter, SplitIntoAppendsAboveExistingWork) {
+  // The MIMD payload path: a receiver that already holds work keeps it at
+  // the bottom and gets the donation on top, bottom-to-top.
+  WorkStack<int> donor = make_stack(4);
+  WorkStack<int> receiver;
+  receiver.push(100);
+  split_into(donor, SplitStrategy::kHalf, receiver);
+  EXPECT_EQ(receiver.size(), 3u);
+  EXPECT_EQ(receiver.bottom(), 100);
+  EXPECT_EQ(receiver.pop(), 2);
+  EXPECT_EQ(receiver.pop(), 0);
 }
 
 TEST(Splitter, StrategyNames) {

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace simdts::simd {
@@ -137,6 +138,29 @@ TEST(ThreadPool, FewerItemsThanLanes) {
         count.fetch_add(static_cast<int>(e - b));
       });
   EXPECT_EQ(count.load(), 3);
+}
+
+TEST(ThreadPool, OneChunkDispatchRunsInlineAsLaneZero) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  // n <= align: the aligned partition is one chunk, whatever the lane count.
+  for (const std::size_t n : {std::size_t{1}, std::size_t{37}, std::size_t{64}}) {
+    int calls = 0;
+    pool.parallel_for_lanes_aligned(
+        n, 64, [&](unsigned lane, std::size_t b, std::size_t e) {
+          ++calls;  // unsynchronised on purpose: TSan flags a worker call
+          EXPECT_EQ(std::this_thread::get_id(), caller) << "n=" << n;
+          EXPECT_EQ(lane, 0u);
+          EXPECT_EQ(b, 0u);
+          EXPECT_EQ(e, n);
+        });
+    EXPECT_EQ(calls, 1) << "n=" << n;
+  }
+  // Two non-empty chunks still go to the workers.
+  std::atomic<int> chunks{0};
+  pool.parallel_for_lanes_aligned(
+      65, 64, [&](unsigned, std::size_t, std::size_t) { ++chunks; });
+  EXPECT_EQ(chunks.load(), 2);
 }
 
 TEST(ThreadPool, DefaultPicksAtLeastOneLane) {
