@@ -3,7 +3,9 @@
 // Every table/figure binary follows the same pattern: print a banner
 // explaining what the paper reported and what "the shape holds" means, run
 // the experiment at the paper's machine size (P = 8192 by default), print a
-// paper-vs-measured table, and emit a CSV artifact.
+// paper-vs-measured table, and emit a CSV artifact.  Table sweeps are
+// checkpointed through runtime::run_journaled into one runtime::Journal per
+// driver, so a killed sweep finishes with --resume.
 //
 // Environment knobs:
 //   SIMDTS_QUICK          reduced scale (smaller machine, fewer workloads)
@@ -109,43 +111,40 @@ inline bool parse_resume_flag(int argc, char** argv) {
   return false;
 }
 
+/// The sweep journal of a table driver: $SIMDTS_OUT_DIR/<name>.journal.
+inline std::string sweep_journal_path(const std::string& journal_name) {
+  return analysis::out_dir() + "/" + journal_name + ".journal";
+}
+
 /// Checkpointing variant of run_puzzle_sweep: completed cells are journaled
-/// to $SIMDTS_OUT_DIR/<journal_name>.journal (encoded bit-exactly via
-/// lb::encode_journal) as the sweep runs; with `resume` the journal is
-/// loaded first and only the missing cells are re-run.  Determinism makes
-/// the merged results — and every table printed from them — byte-identical
-/// to an uninterrupted sweep.  Callers delete the journal (see
-/// remove_sweep_journal) once their CSVs are safely written.
+/// (encoded bit-exactly via lb::encode_journal) through
+/// runtime::run_journaled as the sweep runs; with `resume` the journal is
+/// loaded first and only the missing or damaged cells are re-run.
+/// Determinism makes the merged results — and every table printed from
+/// them — byte-identical to an uninterrupted sweep.  Callers delete the
+/// journal (see remove_sweep_journal) once their CSVs are safely written.
 inline std::vector<lb::IterationStats> run_puzzle_sweep_journaled(
     std::span<const PuzzleRun> runs, const std::string& journal_name,
     bool resume, unsigned threads = 0) {
   std::vector<lb::IterationStats> results(runs.size());
-  std::vector<std::uint8_t> done(runs.size(), std::uint8_t{0});
-  runtime::SweepJournal journal(analysis::out_dir() + "/" + journal_name +
-                                ".journal");
-  if (resume) {
-    for (const auto& [slot, payload] : journal.load()) {
-      lb::IterationStats stats;
-      if (slot < runs.size() && lb::decode_journal(payload, stats)) {
-        results[slot] = std::move(stats);
-        done[slot] = 1;
-      }
-    }
-  }
+  runtime::Journal journal(sweep_journal_path(journal_name));
   runtime::SweepRunner runner(threads);
-  runner.run(runs.size(), [&](std::size_t i) {
-    if (done[i] != 0) return;  // replayed from the journal
-    const PuzzleRun& r = runs[i];
-    results[i] = run_puzzle(*r.workload, r.p, r.cfg, r.cost);
-    journal.record(i, lb::encode_journal(results[i]));
-  });
+  runtime::run_journaled(
+      runner, runs.size(), &journal, resume,
+      [&](std::size_t i, const std::string& payload) {
+        return lb::decode_journal(payload, results[i]);
+      },
+      [&](std::size_t i) {
+        const PuzzleRun& r = runs[i];
+        results[i] = run_puzzle(*r.workload, r.p, r.cfg, r.cost);
+        return lb::encode_journal(results[i]);
+      });
   return results;
 }
 
 /// Deletes a sweep journal written by run_puzzle_sweep_journaled.
 inline void remove_sweep_journal(const std::string& journal_name) {
-  runtime::SweepJournal(analysis::out_dir() + "/" + journal_name + ".journal")
-      .remove();
+  runtime::Journal(sweep_journal_path(journal_name)).remove();
 }
 
 /// The CM-2 t_lb / U_calc ratio used by the analytic-trigger columns.

@@ -125,7 +125,7 @@ inline void run_iso_experiment(const std::string& name,
   std::cout << '\n';
   analysis::emit_csv(name + "_curves", curve_table);
   // The CSVs are on disk; the checkpoint has served its purpose.
-  runtime::SweepJournal(options.journal_path).remove();
+  runtime::Journal(options.journal_path).remove();
 }
 
 }  // namespace simdts::bench

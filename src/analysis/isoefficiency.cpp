@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <memory>
+#include <optional>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -76,53 +76,42 @@ GridResult run_grid(const lb::SchemeConfig& config,
   const std::size_t per_size = workloads.size();
   result.points.resize(machine_sizes.size() * per_size);
 
-  // Checkpoint/resume: completed slots are replayed from the journal, the
-  // rest re-run.  Determinism makes the merge exact — a replayed point is
-  // bit-identical to what the re-run would have produced.
-  std::unique_ptr<runtime::SweepJournal> journal;
-  std::vector<std::uint8_t> done(result.points.size(), std::uint8_t{0});
-  if (!options.journal_path.empty()) {
-    journal = std::make_unique<runtime::SweepJournal>(options.journal_path);
-    if (options.resume) {
-      for (const auto& [slot, payload] : journal->load()) {
-        GridPoint pt;
-        if (slot < result.points.size() && decode_grid_point(payload, pt)) {
-          result.points[slot] = pt;
-          done[slot] = 1;
-        }
-      }
-    }
-  }
-
+  std::optional<runtime::Journal> journal;
+  if (!options.journal_path.empty()) journal.emplace(options.journal_path);
   runtime::SweepRunner runner(options.threads);
-  runner.run(result.points.size(), [&](std::size_t k) {
-    if (done[k] != 0) return;  // replayed from the journal
-    const std::uint32_t p = machine_sizes[k / per_size];
-    const auto& wl = workloads[k % per_size];
-    const synthetic::Tree tree(wl.params);
-    simd::Machine machine(p, cost);
-    lb::Engine<synthetic::Tree> engine(tree, machine, config);
-    GridPoint& pt = result.points[k];
-    if (options.cycle_budget != 0) {
-      engine.set_cycle_budget(options.cycle_budget);
-    }
-    try {
-      const lb::IterationStats stats =
-          engine.run_iteration(search::kUnbounded);
-      pt.p = p;
-      pt.w = stats.nodes_expanded;
-      pt.efficiency = stats.efficiency();
-      pt.expand_cycles = stats.expand_cycles;
-      pt.lb_phases = stats.lb_phases;
-      pt.lb_rounds = stats.lb_rounds;
-      pt.clock = stats.clock;
-    } catch (const TimeoutError&) {
-      pt = GridPoint{};
-      pt.p = p;
-      pt.timed_out = true;
-    }
-    if (journal) journal->record(k, encode_grid_point(pt));
-  });
+  runtime::run_journaled(
+      runner, result.points.size(), journal ? &*journal : nullptr,
+      options.resume,
+      [&](std::size_t k, const std::string& payload) {
+        return decode_grid_point(payload, result.points[k]);
+      },
+      [&](std::size_t k) {
+        const std::uint32_t p = machine_sizes[k / per_size];
+        const auto& wl = workloads[k % per_size];
+        const synthetic::Tree tree(wl.params);
+        simd::Machine machine(p, cost);
+        lb::Engine<synthetic::Tree> engine(tree, machine, config);
+        GridPoint& pt = result.points[k];
+        if (options.cycle_budget != 0) {
+          engine.set_cycle_budget(options.cycle_budget);
+        }
+        try {
+          const lb::IterationStats stats =
+              engine.run_iteration(search::kUnbounded);
+          pt.p = p;
+          pt.w = stats.nodes_expanded;
+          pt.efficiency = stats.efficiency();
+          pt.expand_cycles = stats.expand_cycles;
+          pt.lb_phases = stats.lb_phases;
+          pt.lb_rounds = stats.lb_rounds;
+          pt.clock = stats.clock;
+        } catch (const TimeoutError&) {
+          pt = GridPoint{};
+          pt.p = p;
+          pt.timed_out = true;
+        }
+        return encode_grid_point(pt);
+      });
   return result;
 }
 

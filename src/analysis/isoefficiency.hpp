@@ -81,7 +81,7 @@ struct GridOptions {
 /// uninterrupted result bit-identically — completed slots are replayed from
 /// the journal, the rest are re-run (determinism makes the merge exact).
 /// The journal file is left in place; callers delete it (via
-/// runtime::SweepJournal::remove) once derived outputs are safely written.
+/// runtime::Journal::remove) once derived outputs are safely written.
 [[nodiscard]] GridResult run_grid(
     const lb::SchemeConfig& config,
     std::span<const synthetic::SyntheticWorkload> workloads,

@@ -1,68 +1,103 @@
 #include "runtime/journal.hpp"
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <charconv>
 #include <utility>
 
 #include "common/error.hpp"
 
 namespace simdts::runtime {
 
-SweepJournal::SweepJournal(std::string path) : path_(std::move(path)) {
-  // Best-effort: make sure the journal's directory exists, like the CSV
-  // writer does for its artifacts.
-  const std::filesystem::path p(path_);
-  if (p.has_parent_path()) {
-    std::error_code ec;
-    std::filesystem::create_directories(p.parent_path(), ec);
-  }
+namespace {
+
+/// Parses a whole, non-empty token of hex digits (no sign, prefix or
+/// whitespace).
+bool parse_hex(std::string_view token, std::uint64_t& out) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, out, 16);
+  return ec == std::errc{} && ptr == end;
 }
 
-std::map<std::size_t, std::string> SweepJournal::load() const {
-  std::map<std::size_t, std::string> entries;
+}  // namespace
+
+bool Journal::Entry::intact(std::uint64_t key) const {
+  return checksum == Journal::checksum(key, payload);
+}
+
+Journal::Journal(std::filesystem::path path) : path_(std::move(path)) {}
+
+std::uint64_t Journal::checksum(std::uint64_t key, std::string_view payload) {
+  std::uint64_t h = 0xcbf29ce484222325ULL ^ key;
+  for (const char c : payload) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::map<std::uint64_t, Journal::Entry> Journal::load() const {
+  std::map<std::uint64_t, Entry> entries;
   std::ifstream in(path_);
-  if (!in) return entries;
   std::string line;
   while (std::getline(in, line)) {
-    // Format: `<index> <payload...> ok`.  The payload may itself contain
-    // spaces; only a line whose last token is the "ok" marker is trusted.
-    std::istringstream is(line);
-    std::size_t index = 0;
-    if (!(is >> index)) continue;
-    std::string rest;
-    std::getline(is, rest);
-    // Strip the single separating space and the trailing marker.
-    const std::string marker = " ok";
-    if (rest.size() < marker.size() + 1 || rest.front() != ' ' ||
-        rest.compare(rest.size() - marker.size(), marker.size(), marker) !=
-            0) {
-      continue;  // torn or malformed: the task re-runs
+    // Only a line that reached its " ok" marker was written whole.
+    const std::string_view marker = " ok";
+    if (!line.ends_with(marker)) continue;
+    const std::string_view body =
+        std::string_view(line).substr(0, line.size() - marker.size());
+    const std::size_t s1 = body.find(' ');
+    if (s1 == std::string_view::npos) continue;
+    const std::size_t s2 = body.find(' ', s1 + 1);
+    if (s2 == std::string_view::npos) continue;
+    std::uint64_t key = 0;
+    Entry entry;
+    if (!parse_hex(body.substr(0, s1), key) ||
+        !parse_hex(body.substr(s1 + 1, s2 - s1 - 1), entry.checksum)) {
+      continue;
     }
-    entries[index] = rest.substr(1, rest.size() - 1 - marker.size());
+    entry.payload = body.substr(s2 + 1);
+    entries[key] = std::move(entry);  // last entry for a key wins
   }
   return entries;
 }
 
-void SweepJournal::record(std::size_t index, const std::string& payload) {
-  if (payload.find('\n') != std::string::npos) {
-    throw Error("journal payload must be a single line [" + path_ + "]");
-  }
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::ofstream out(path_, std::ios::app);
-  if (!out) {
-    throw Error("cannot open sweep journal for append [" + path_ + "]");
-  }
-  out << index << ' ' << payload << " ok\n";
-  out.flush();
-  if (!out) {
-    throw Error("failed writing sweep journal [" + path_ + "]");
-  }
+std::uint64_t Journal::record(std::uint64_t key, std::string_view payload) {
+  const std::uint64_t sum = checksum(key, payload);
+  record_with_checksum(key, sum, payload);
+  return sum;
 }
 
-void SweepJournal::remove() const {
-  std::remove(path_.c_str());
+void Journal::record_with_checksum(std::uint64_t key, std::uint64_t checksum,
+                                   std::string_view payload) {
+  if (payload.find('\n') != std::string_view::npos) {
+    throw InvariantError("journal payloads must be single-line",
+                         path_.string());
+  }
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (!out_.is_open()) {
+    if (path_.has_parent_path()) {
+      std::error_code ec;
+      std::filesystem::create_directories(path_.parent_path(), ec);
+    }
+    // A crash can leave a torn last line; end it so the next record starts
+    // on a line of its own.
+    bool torn = false;
+    if (std::ifstream in(path_, std::ios::ate); in && in.tellg() > 0) {
+      in.seekg(-1, std::ios::end);
+      torn = in.get() != '\n';
+    }
+    out_.open(path_, std::ios::app);
+    if (torn) out_ << '\n';
+  }
+  out_ << std::hex << key << ' ' << checksum << ' ' << payload << " ok\n";
+  out_.flush();
+  if (!out_) throw Error("cannot append to journal [" + path_.string() + "]");
+}
+
+void Journal::remove() {
+  const std::lock_guard<std::mutex> lock(mu_);
+  out_.close();
+  std::error_code ec;
+  std::filesystem::remove(path_, ec);
 }
 
 }  // namespace simdts::runtime

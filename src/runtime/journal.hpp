@@ -1,52 +1,82 @@
-// Append-only journal of completed sweep slots (checkpoint/resume).
+// The one append-only journal, for sweep checkpoints and the result cache.
 //
-// Long table sweeps (hundreds of engine runs) die for host-side reasons —
-// an OOM kill, a CI timeout, a Ctrl-C.  The journal makes them resumable:
-// each completed task appends one line `<slot-index> <payload> ok\n` and
-// flushes, so a restarted sweep can load the journal, skip every slot whose
-// payload decodes, and re-run only the rest.  Payloads are the exact
-// single-line encodings of lb::encode_journal / analysis-level codecs (all
-// doubles as IEEE-754 bit patterns), so a resumed sweep emits byte-identical
-// CSVs.
+// One line per record, `<key hex> <checksum hex> <payload> ok`, where the
+// checksum is FNV-1a-64 over the payload seeded by the key, so an entry can
+// only vouch for the payload filed under its own key.  Sweeps key by slot
+// and store bit-exact payloads (lb::encode_journal, encode_grid_point);
+// service::ResultCache keys by canonical request key.
 //
-// Crash tolerance is by construction: a line is only trusted if it parses
-// completely and carries the trailing "ok" marker, so a torn final line (the
-// process died mid-write) is silently dropped and its task simply re-runs.
+// Only a line that parses whole and ends in the "ok" marker loads, so a
+// torn final line (a crash mid-write) is dropped, and the first append after
+// a restart ends it so it cannot swallow the next record.  A loaded line
+// that does not verify (bit rot, a flipped key) is an entry that is not
+// intact(): sweeps re-run its slot, the cache counts a corruption.
+//
+// The append stream opens on the first record and stays open, flushed after
+// every line; concurrent records are serialized and land as whole lines.
 #pragma once
 
-#include <cstddef>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 namespace simdts::runtime {
 
-class SweepJournal {
+class Journal {
  public:
-  /// Opens (creating if absent) the journal at `path` for appending.
-  explicit SweepJournal(std::string path);
+  struct Entry {
+    std::uint64_t checksum = 0;  ///< as stored on the line
+    std::string payload;
 
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+    /// True when the stored checksum matches checksum(key, payload).
+    [[nodiscard]] bool intact(std::uint64_t key) const;
+  };
 
-  /// Parses the journal into slot-index -> payload.  Torn or malformed lines
-  /// are skipped; a later entry for the same slot wins (harmless — entries
-  /// for one slot are identical by determinism).  A missing file yields an
-  /// empty map.
-  [[nodiscard]] std::map<std::size_t, std::string> load() const;
+  /// Names the journal at `path`; nothing is opened or created until the
+  /// first record(), which also creates missing parent directories.
+  explicit Journal(std::filesystem::path path);
 
-  /// Appends `<index> <payload> ok` and flushes.  Thread-safe; called by
-  /// sweep worker threads as tasks complete.  The payload must be a single
-  /// line without embedded newlines.  Throws simdts::Error on I/O failure or
-  /// a payload containing a newline.
-  void record(std::size_t index, const std::string& payload);
+  [[nodiscard]] const std::filesystem::path& path() const noexcept {
+    return path_;
+  }
 
-  /// Deletes the journal file (after a sweep completes and its CSV is
-  /// safely written).  Missing file is not an error.
-  void remove() const;
+  /// FNV-1a-64 over `payload`, with `key` folded into the offset basis.
+  [[nodiscard]] static std::uint64_t checksum(std::uint64_t key,
+                                              std::string_view payload);
+
+  /// Parses the journal into key -> last complete entry for that key.  Torn
+  /// or malformed lines are skipped; entries are returned unverified (see
+  /// Entry::intact).  A missing file yields an empty map.
+  [[nodiscard]] std::map<std::uint64_t, Entry> load() const;
+
+  /// Appends `payload` under `key` with its checksum, flushes, and returns
+  /// the checksum.  Thread-safe.  Throws simdts::InvariantError for a
+  /// payload containing a newline and simdts::Error when the file cannot be
+  /// written.
+  std::uint64_t record(std::uint64_t key, std::string_view payload);
+
+  /// As record(), but stores `checksum` instead of computing it: the
+  /// scripted cache-corruption fault files a damaged payload under its
+  /// original checksum.
+  void record_with_checksum(std::uint64_t key, std::uint64_t checksum,
+                            std::string_view payload);
+
+  /// Closes the stream and deletes the file (a sweep whose CSVs are safely
+  /// written).  A missing file is not an error; a later record() starts a
+  /// fresh file.
+  void remove();
 
  private:
-  std::string path_;
+  std::filesystem::path path_;
   std::mutex mu_;
+  std::ofstream out_;
 };
+
+/// The sweep-checkpoint name perfbench still uses.
+using SweepJournal = Journal;
 
 }  // namespace simdts::runtime

@@ -10,6 +10,7 @@
 #include "common/env.hpp"
 #include "common/error.hpp"
 #include "fault/fault.hpp"
+#include "runtime/journal.hpp"
 
 namespace simdts::runtime {
 
@@ -117,6 +118,28 @@ std::vector<TaskReport> run_tasks(SweepRunner& runner, std::size_t n,
     }
   });
   return reports;
+}
+
+void run_journaled(
+    SweepRunner& runner, std::size_t n, Journal* journal, bool resume,
+    const std::function<bool(std::size_t, const std::string&)>& replay,
+    const std::function<std::string(std::size_t)>& task) {
+  // Determinism makes the merge exact: a replayed slot is bit-identical to
+  // what its re-run would produce.  A damaged entry fails its checksum and
+  // simply re-runs.
+  std::vector<std::uint8_t> done(n, std::uint8_t{0});
+  if (journal != nullptr && resume) {
+    for (const auto& [key, entry] : journal->load()) {
+      if (key < n && entry.intact(key) && replay(key, entry.payload)) {
+        done[key] = 1;
+      }
+    }
+  }
+  runner.run(n, [&](std::size_t k) {
+    if (done[k] != 0) return;
+    const std::string payload = task(k);
+    if (journal != nullptr) journal->record(k, payload);
+  });
 }
 
 }  // namespace simdts::runtime

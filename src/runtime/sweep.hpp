@@ -28,8 +28,8 @@
 // watchdog) yields a kTimeout report instead of aborting the sweep, a
 // simdts::TransientError is retried with exponential backoff up to the
 // RetryPolicy's attempt limit, and anything else is reported kFailed with
-// its message.  Resumable sweeps layer SweepJournal on top (the analysis
-// and bench layers own the payload codecs).
+// its message.  run_journaled() makes a sweep resumable on top of
+// runtime::Journal (the analysis and bench layers own the payload codecs).
 #pragma once
 
 #include <cstddef>
@@ -135,6 +135,20 @@ struct RetryPolicy {
 [[nodiscard]] std::vector<TaskReport> run_tasks(
     SweepRunner& runner, std::size_t n,
     const std::function<void(std::size_t)>& task, RetryPolicy policy = {});
+
+class Journal;
+
+/// Checkpointed sweep over slots [0, n).  With `resume`, every intact
+/// journal entry for a slot in range is offered to `replay(k, payload)`; a
+/// slot whose payload replay accepts is done.  Every other slot runs
+/// `task(k)`, and the payload it returns is recorded under key k.  A null
+/// `journal` runs every slot and records nothing.  Like SweepRunner::run,
+/// the first exception a task throws is rethrown.
+void run_journaled(SweepRunner& runner, std::size_t n, Journal* journal,
+                   bool resume,
+                   const std::function<bool(std::size_t, const std::string&)>&
+                       replay,
+                   const std::function<std::string(std::size_t)>& task);
 
 /// Maps fn over [0, n) in parallel and returns the results in index order:
 /// out[i] == fn(i), bit-identical to the serial loop for any thread count.

@@ -1,74 +1,19 @@
 #include "service/cache.hpp"
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
+#include <utility>
 
 #include "common/error.hpp"
 
 namespace simdts::service {
 
-namespace {
-
-/// Parses a full hex token; false unless every character was consumed.
-bool parse_hex(const std::string& token, std::uint64_t& out) {
-  if (token.empty()) return false;
-  char* end = nullptr;
-  out = std::strtoull(token.c_str(), &end, 16);
-  return end == token.c_str() + token.size();
-}
-
-std::string to_hex(std::uint64_t v) {
-  std::ostringstream os;
-  os << std::hex << v;
-  return os.str();
-}
-
-}  // namespace
-
-std::uint64_t ResultCache::entry_checksum(std::uint64_t key,
-                                          std::string_view payload) {
-  // FNV-1a 64, with the key folded into the offset basis so a payload can
-  // only verify under the key it was inserted with.
-  std::uint64_t h = 0xcbf29ce484222325ULL ^ key;
-  for (const char c : payload) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-ResultCache::ResultCache(std::filesystem::path path) : path_(std::move(path)) {
-  std::ifstream in(path_);
-  if (!in) return;  // first use: the journal appears on the first insert
-  std::string line;
-  while (std::getline(in, line)) {
-    // A committed line ends in " ok"; anything else is torn — skip it.
-    if (line.size() < 3 || line.compare(line.size() - 3, 3, " ok") != 0) {
-      continue;
-    }
-    const std::string body = line.substr(0, line.size() - 3);
-    const std::size_t s1 = body.find(' ');
-    if (s1 == std::string::npos) continue;
-    const std::size_t s2 = body.find(' ', s1 + 1);
-    if (s2 == std::string::npos) continue;
-    std::uint64_t key = 0;
-    std::uint64_t checksum = 0;
-    if (!parse_hex(body.substr(0, s1), key) ||
-        !parse_hex(body.substr(s1 + 1, s2 - s1 - 1), checksum)) {
-      continue;
-    }
-    // Last-wins: a re-appended entry (or a scripted corruption) supersedes
-    // the earlier line.  Verification is deferred to lookup().
-    entries_[key] = Entry{checksum, body.substr(s2 + 1)};
-  }
-}
+ResultCache::ResultCache(std::filesystem::path path)
+    : journal_(std::move(path)), entries_(journal_.load()) {}
 
 std::optional<std::string> ResultCache::lookup(std::uint64_t key,
                                                std::string* diagnostic) {
   const auto it = entries_.find(key);
   if (it == entries_.end()) return std::nullopt;
-  if (entry_checksum(key, it->second.payload) != it->second.checksum) {
+  if (!it->second.intact(key)) {
     ++corruptions_detected_;
     if (diagnostic != nullptr) {
       *diagnostic =
@@ -81,42 +26,21 @@ std::optional<std::string> ResultCache::lookup(std::uint64_t key,
 }
 
 void ResultCache::insert(std::uint64_t key, const std::string& payload) {
-  if (payload.find('\n') != std::string::npos) {
-    throw InvariantError("result-cache payloads must be single-line",
-                         "key=" + to_hex(key));
-  }
-  const std::uint64_t checksum = entry_checksum(key, payload);
-  append_line(key, checksum, payload);
-  entries_[key] = Entry{checksum, payload};
+  const std::uint64_t checksum = journal_.record(key, payload);
+  entries_[key] = {checksum, payload};
 }
 
 bool ResultCache::corrupt_payload_byte(std::uint64_t key,
                                        std::uint32_t byte_offset) {
   const auto it = entries_.find(key);
   if (it == entries_.end() || it->second.payload.empty()) return false;
-  std::string damaged = it->second.payload;
+  std::string& payload = it->second.payload;
   // XOR with 1 keeps the byte printable (payloads are digits and spaces), so
   // the journal line itself stays well-formed — the damage is semantic, for
   // the checksum to catch, not a torn line for the loader to skip.
-  damaged[byte_offset % damaged.size()] ^= 0x01;
-  append_line(key, it->second.checksum, damaged);
-  it->second.payload = std::move(damaged);
+  payload[byte_offset % payload.size()] ^= 0x01;
+  journal_.record_with_checksum(key, it->second.checksum, payload);
   return true;
-}
-
-void ResultCache::append_line(std::uint64_t key, std::uint64_t checksum,
-                              const std::string& payload) {
-  std::ofstream out(path_, std::ios::app);
-  if (!out) {
-    throw InvariantError("result-cache journal is not writable",
-                         path_.string());
-  }
-  out << to_hex(key) << ' ' << to_hex(checksum) << ' ' << payload << " ok\n";
-  out.flush();
-  if (!out) {
-    throw InvariantError("result-cache journal append failed",
-                         path_.string());
-  }
 }
 
 }  // namespace simdts::service

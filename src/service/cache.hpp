@@ -1,25 +1,19 @@
-// Content-addressed result cache with a crash-tolerant journal.
+// Content-addressed result cache: an in-memory map over runtime::Journal.
 //
-// The cache maps canonical_key(request) to the encoded solve result, backed
-// by an append-only journal in the SweepJournal discipline: one line per
-// insert, `<key> <checksum> <payload> ok`, where the trailing "ok" only hits
-// the disk after the whole line.  A process killed mid-append leaves a torn
-// final line with no "ok"; load() skips it and the entry is simply absent —
-// a clean miss, never a garbled hit.
+// The cache maps canonical_key(request) to the encoded solve result; every
+// insert appends one journal line.  A process killed mid-append leaves a
+// torn line that the loader skips: a clean miss, never a garbled hit.
 //
-// Verified-on-read: the journaled checksum covers (key, payload), and
-// lookup() recomputes it before serving.  A mismatch — bit rot, a torn
-// rewrite, a flipped key routing a foreign payload — erases the entry,
-// counts a corruption, and reports a simdts::CacheCorruptionError diagnostic
-// through the out-parameter; the caller re-solves.  The invariant the fuzz
-// tests pin: for any byte-level damage to the journal, every lookup returns
-// either the exact inserted payload or a miss.  Wrong answers are not an
-// outcome.
+// Verified-on-read: lookup() checks the journaled key-seeded checksum before
+// serving.  A mismatch (bit rot, a flipped key routing a foreign payload)
+// erases the entry, counts a corruption, and reports a
+// simdts::CacheCorruptionError diagnostic; the caller re-solves.  The fuzz
+// tests pin the invariant: for any byte-level damage to the journal, every
+// lookup returns either the exact inserted payload or a miss.
 //
-// Duplicate keys keep the last journaled entry (last-wins on load), which is
-// what makes corrupt_payload_byte() — the scripted kCacheCorrupt fault —
-// durable through an append-only file: it re-appends the damaged payload
-// under the original checksum instead of rewriting history.
+// Last-wins on load is what makes corrupt_payload_byte() (the scripted
+// kCacheCorrupt fault) durable through an append-only file: it re-appends
+// the damaged payload under the original checksum.
 #pragma once
 
 #include <cstdint>
@@ -27,14 +21,16 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <string_view>
+
+#include "runtime/journal.hpp"
 
 namespace simdts::service {
 
 class ResultCache {
  public:
-  /// Opens (and replays) the journal at `path`, creating it on first use.
-  /// Torn or malformed lines are skipped, not errors.
+  /// Opens (and replays) the journal at `path`, creating it and its parent
+  /// directories on the first insert.  Torn or malformed lines are skipped,
+  /// not errors.
   explicit ResultCache(std::filesystem::path path);
 
   /// Verified read.  Returns the payload only if its stored checksum
@@ -56,30 +52,16 @@ class ResultCache {
 
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   [[nodiscard]] const std::filesystem::path& path() const noexcept {
-    return path_;
+    return journal_.path();
   }
   /// Corrupt entries detected (and erased) by verified reads so far.
   [[nodiscard]] std::uint64_t corruptions_detected() const noexcept {
     return corruptions_detected_;
   }
 
-  /// The checksum the journal stores: FNV-1a over the payload bytes, seeded
-  /// by the key so an entry cannot vouch for a payload filed under a
-  /// different key.
-  [[nodiscard]] static std::uint64_t entry_checksum(std::uint64_t key,
-                                                    std::string_view payload);
-
  private:
-  struct Entry {
-    std::uint64_t checksum = 0;
-    std::string payload;
-  };
-
-  void append_line(std::uint64_t key, std::uint64_t checksum,
-                   const std::string& payload);
-
-  std::filesystem::path path_;
-  std::map<std::uint64_t, Entry> entries_;
+  runtime::Journal journal_;
+  std::map<std::uint64_t, runtime::Journal::Entry> entries_;
   std::uint64_t corruptions_detected_ = 0;
 };
 

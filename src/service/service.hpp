@@ -23,9 +23,10 @@
 //      never sleeps host time.
 //   4. accounting post-pass (serial, trace order): responses are assembled
 //      from the slot-indexed outcomes, successful leader results are
-//      journaled into the cache, and scripted kCacheCorrupt faults are
-//      applied — all serially, so the cache file and counters are replay-
-//      identical too.
+//      journaled into the cache (one flushed line each on the cache's
+//      held-open runtime::Journal stream), and scripted kCacheCorrupt
+//      faults are applied — all serially, so the cache file and counters
+//      are replay-identical too.
 //
 // Determinism contract: for a fixed (config, trace, fault plan),
 // response_log() is byte-identical across host thread counts and across

@@ -4,8 +4,11 @@
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "analysis/isoefficiency.hpp"
 #include "common/error.hpp"
@@ -137,56 +140,118 @@ TEST(JournalCodec, GridPointRoundTripsExactly) {
 }
 
 // ---------------------------------------------------------------------------
-// The on-disk journal: append, load, torn-line tolerance.
+// The on-disk journal: append, load, torn-line tolerance, checksums.
 // ---------------------------------------------------------------------------
 
-TEST(SweepJournal, RecordsAndLoads) {
+/// A complete journal line for `payload` under `key`, as Journal writes it.
+std::string journal_line(std::uint64_t key, const std::string& payload) {
+  std::ostringstream os;
+  os << std::hex << key << ' ' << runtime::Journal::checksum(key, payload)
+     << ' ' << payload << " ok\n";
+  return os.str();
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(Journal, RecordsAndLoads) {
   const std::string path = temp_path("journal_basic");
   std::remove(path.c_str());
-  runtime::SweepJournal journal(path);
+  runtime::Journal journal(path);
   journal.record(2, "two words");
   journal.record(0, "zero");
   journal.record(7, "seven");
 
   const auto entries = journal.load();
   ASSERT_EQ(entries.size(), 3u);
-  EXPECT_EQ(entries.at(0), "zero");
-  EXPECT_EQ(entries.at(2), "two words");
-  EXPECT_EQ(entries.at(7), "seven");
+  EXPECT_EQ(entries.at(0).payload, "zero");
+  EXPECT_EQ(entries.at(2).payload, "two words");
+  EXPECT_EQ(entries.at(7).payload, "seven");
+  for (const auto& [key, entry] : entries) EXPECT_TRUE(entry.intact(key));
   journal.remove();
   EXPECT_TRUE(journal.load().empty());
 }
 
-TEST(SweepJournal, SkipsTornAndMalformedLines) {
+TEST(Journal, SkipsTornAndMalformedLines) {
   const std::string path = temp_path("journal_torn");
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "0 alpha ok\n"
-        << "1 beta o";  // torn mid-marker: the process died here
-  }
-  runtime::SweepJournal journal(path);
+  std::string torn = journal_line(1, "beta");
+  torn.pop_back();  // the newline
+  torn.pop_back();  // torn mid-marker: the process died here
+  write_file(path, journal_line(0, "alpha") + torn);
+  runtime::Journal journal(path);
   auto entries = journal.load();
-  EXPECT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries.at(0), "alpha");
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries.at(0).payload, "alpha");
+  EXPECT_TRUE(entries.at(0).intact(0));
 
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "garbage line\n"
-        << "3 gamma ok\n"
-        << "4 delta\n"          // no marker
-        << "notanumber x ok\n"  // bad index
-        << "5 epsilon ok\n";
-  }
+  std::string unmarked = journal_line(4, "delta");
+  unmarked.erase(unmarked.size() - 4, 3);  // no " ok" marker
+  std::string lines = "garbage line\n" + journal_line(3, "gamma") + unmarked;
+  lines += "notanumber 0 x ok\n";      // bad key
+  lines += "6 nothex x ok\n";          // bad checksum
+  lines += "7 0 wrong checksum ok\n";  // parses, but is not intact
+  write_file(path, lines + journal_line(5, "epsilon"));
   entries = journal.load();
-  EXPECT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries.at(3), "gamma");
-  EXPECT_EQ(entries.at(5), "epsilon");
+  ASSERT_EQ(entries.size(), 3u);
+  EXPECT_EQ(entries.at(3).payload, "gamma");
+  EXPECT_EQ(entries.at(5).payload, "epsilon");
+  EXPECT_TRUE(entries.at(3).intact(3));
+  EXPECT_TRUE(entries.at(5).intact(5));
+  EXPECT_EQ(entries.at(7).payload, "wrong checksum");
+  EXPECT_FALSE(entries.at(7).intact(7));
+
+  // The next record ends the torn tail first, so it loads intact.
+  write_file(path, journal_line(0, "alpha") + torn);
+  journal.record(2, "after the crash");
+  entries = journal.load();
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_TRUE(entries.at(2).intact(2));
+  EXPECT_EQ(entries.at(2).payload, "after the crash");
   journal.remove();
 }
 
-TEST(SweepJournal, RejectsMultilinePayloads) {
-  runtime::SweepJournal journal(temp_path("journal_reject"));
+TEST(Journal, RejectsMultilinePayloads) {
+  runtime::Journal journal(temp_path("journal_reject"));
   EXPECT_THROW(journal.record(0, "two\nlines"), Error);
+  journal.remove();
+}
+
+TEST(Journal, RemoveThenRecordStartsAFreshFile) {
+  const std::string path = temp_path("journal_fresh");
+  runtime::Journal journal(path);
+  journal.remove();  // nothing there yet: not an error
+  journal.record(1, "old");
+  journal.remove();
+  EXPECT_FALSE(std::filesystem::exists(path));
+  journal.record(2, "new");
+  EXPECT_EQ(read_file(path), journal_line(2, "new"));
+  journal.remove();
+}
+
+TEST(Journal, ConcurrentRecordsAreWholeLines) {
+  const std::string path = temp_path("journal_concurrent");
+  std::remove(path.c_str());
+  const auto payload = [](std::size_t k) {
+    return "slot " + std::to_string(k) + ' ' + std::string(k % 97, 'x');
+  };
+  constexpr std::size_t kRecords = 1200;
+  runtime::Journal journal(path);
+  runtime::SweepRunner runner(4);
+  runner.run(kRecords, [&](std::size_t k) { journal.record(k, payload(k)); });
+
+  const auto entries = runtime::Journal(path).load();
+  ASSERT_EQ(entries.size(), kRecords);
+  for (const auto& [key, entry] : entries) {
+    EXPECT_TRUE(entry.intact(key)) << "key " << key;
+    EXPECT_EQ(entry.payload, payload(key));
+  }
   journal.remove();
 }
 
@@ -195,51 +260,113 @@ TEST(SweepJournal, RejectsMultilinePayloads) {
 // result, and journaled slots are not re-executed.
 // ---------------------------------------------------------------------------
 
-TEST(ResumableGrid, ResumedRunIsBitIdentical) {
-  const synthetic::Params shapes[] = {
-      {9013, 4, 0.395, 14},
-      {9011, 4, 0.400, 18},
-  };
+/// Two synthetic shapes on P in {16, 64}: four cheap grid slots.
+struct SmallGrid {
   std::vector<synthetic::SyntheticWorkload> ladder;
-  for (const auto& p : shapes) {
-    ladder.push_back(
-        synthetic::SyntheticWorkload{"ladder", p, synthetic::measure(p)});
-  }
-  const std::uint32_t sizes[] = {16, 64};
-  const lb::SchemeConfig cfg = lb::gp_static(0.90);
-  const simd::CostModel cost = simd::cm2_cost_model();
+  std::uint32_t sizes[2] = {16, 64};
+  lb::SchemeConfig cfg = lb::gp_static(0.90);
+  simd::CostModel cost = simd::cm2_cost_model();
 
+  SmallGrid() {
+    const synthetic::Params shapes[] = {
+        {9013, 4, 0.395, 14},
+        {9011, 4, 0.400, 18},
+    };
+    for (const auto& p : shapes) {
+      ladder.push_back(
+          synthetic::SyntheticWorkload{"ladder", p, synthetic::measure(p)});
+    }
+  }
+
+  analysis::GridResult run(const std::string& journal_path,
+                           bool resume) const {
+    analysis::GridOptions options;
+    options.threads = 1;
+    options.journal_path = journal_path;
+    options.resume = resume;
+    return analysis::run_grid(cfg, ladder, sizes, cost, options);
+  }
+};
+
+TEST(ResumableGrid, ResumedRunIsBitIdentical) {
+  const SmallGrid grid;
   // Reference: uninterrupted, no journal.
-  const analysis::GridResult reference =
-      analysis::run_grid(cfg, ladder, sizes, cost, 1);
+  const analysis::GridResult reference = grid.run("", false);
 
   // "Interrupted" run: journal only a strict subset of the slots, as if the
   // process died after two cells.
   const std::string path = temp_path("grid_resume.journal");
   std::remove(path.c_str());
   {
-    runtime::SweepJournal journal(path);
+    runtime::Journal journal(path);
     journal.record(0, analysis::encode_grid_point(reference.points[0]));
     journal.record(3, analysis::encode_grid_point(reference.points[3]));
     // Simulate a torn final line from the crash.
     std::ofstream out(path, std::ios::app);
-    out << "1 v1 16 941";
+    out << journal_line(1, analysis::encode_grid_point(reference.points[1]))
+               .substr(0, 30);
   }
 
-  analysis::GridOptions options;
-  options.threads = 1;
-  options.journal_path = path;
-  options.resume = true;
-  const analysis::GridResult resumed =
-      analysis::run_grid(cfg, ladder, sizes, cost, options);
-
+  const analysis::GridResult resumed = grid.run(path, true);
   ASSERT_EQ(resumed.points.size(), reference.points.size());
   for (std::size_t i = 0; i < reference.points.size(); ++i) {
     EXPECT_EQ(resumed.points[i], reference.points[i]) << "slot " << i;
   }
   // The journal now covers every slot (the re-run recorded the rest).
-  EXPECT_EQ(runtime::SweepJournal(path).load().size(), 4u);
-  runtime::SweepJournal(path).remove();
+  const auto entries = runtime::Journal(path).load();
+  EXPECT_EQ(entries.size(), 4u);
+  for (const auto& [key, entry] : entries) EXPECT_TRUE(entry.intact(key));
+  runtime::Journal(path).remove();
+}
+
+// Every single-bit flip of a complete journal either leaves its entry
+// intact-and-correct or makes that slot re-run: a damaged digit or slot
+// index never replays a wrong point.
+TEST(ResumableGrid, DamagedJournalNeverReplaysAWrongPoint) {
+  const SmallGrid grid;
+  const std::string path = temp_path("grid_damaged.journal");
+  std::remove(path.c_str());
+  const analysis::GridResult reference = grid.run(path, false);
+  const std::string full = read_file(path);
+  ASSERT_FALSE(full.empty());
+  for (std::size_t off = 0; off < full.size(); ++off) {
+    if (full[off] == '\n') continue;
+    std::string damaged = full;
+    damaged[off] = static_cast<char>(damaged[off] ^ 0x01);
+    write_file(path, damaged);
+    const analysis::GridResult resumed = grid.run(path, true);
+    ASSERT_EQ(resumed.points.size(), reference.points.size());
+    for (std::size_t i = 0; i < reference.points.size(); ++i) {
+      ASSERT_EQ(resumed.points[i], reference.points[i])
+          << "flipped offset " << off << ", slot " << i;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Journal, OldFormatLinesAreRerunNotMisread) {
+  const SmallGrid grid;
+  const analysis::GridResult reference = grid.run("", false);
+  // The previous `<slot> <payload> ok` format carries no checksum.
+  const std::string path = temp_path("grid_old_format.journal");
+  std::string old;
+  for (std::size_t k = 0; k < reference.points.size(); ++k) {
+    old += std::to_string(k) + ' ' +
+           analysis::encode_grid_point(reference.points[k]) + " ok\n";
+  }
+  write_file(path, old);
+  EXPECT_TRUE(runtime::Journal(path).load().empty());
+
+  const analysis::GridResult resumed = grid.run(path, true);
+  ASSERT_EQ(resumed.points.size(), reference.points.size());
+  for (std::size_t i = 0; i < reference.points.size(); ++i) {
+    EXPECT_EQ(resumed.points[i], reference.points[i]) << "slot " << i;
+  }
+  // Every slot was re-run and recorded in the new format.
+  const auto entries = runtime::Journal(path).load();
+  EXPECT_EQ(entries.size(), reference.points.size());
+  for (const auto& [key, entry] : entries) EXPECT_TRUE(entry.intact(key));
+  std::remove(path.c_str());
 }
 
 TEST(ResumableGrid, WatchdogMarksPointTimedOutInsteadOfHanging) {

@@ -333,6 +333,21 @@ TEST(ResultCache, CorruptOfAbsentKeyIsANoop) {
   std::remove(path.c_str());
 }
 
+TEST(ResultCache, CreatesMissingParentDirectory) {
+  const std::filesystem::path dir =
+      ::testing::TempDir() + "simdts_service_missing_dir";
+  std::filesystem::remove_all(dir);
+  const std::filesystem::path path = dir / "nested" / "cache.journal";
+  {
+    service::ResultCache cache(path);
+    EXPECT_FALSE(std::filesystem::exists(dir));  // nothing until an insert
+    cache.insert(5, "1 2 3");
+  }
+  service::ResultCache reloaded(path);
+  EXPECT_EQ(reloaded.lookup(5).value_or(""), "1 2 3");
+  std::filesystem::remove_all(dir);
+}
+
 // The crash-tolerance fuzz: truncate the journal at every byte offset, and
 // separately flip every byte, asserting the only observable outcomes are a
 // clean miss or the exact inserted payload.  Wrong answers are not an
