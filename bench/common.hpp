@@ -11,7 +11,7 @@
 //   SIMDTS_QUICK          reduced scale (smaller machine, fewer workloads)
 //   SIMDTS_P              override the machine size
 //   SIMDTS_OUT_DIR        CSV output directory (default bench_out/)
-//   SIMDTS_SWEEP_THREADS  host threads for the parallel sweep runner
+//   SIMDTS_SWEEP_THREADS  host threads (pool lanes) of a parallel sweep
 #pragma once
 
 #include <cstdint>
@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/isoefficiency.hpp"
 #include "analysis/report.hpp"
 #include "analysis/table.hpp"
 #include "common/env.hpp"
@@ -88,7 +89,7 @@ struct PuzzleRun {
   simd::CostModel cost = simd::cm2_cost_model();
 };
 
-/// Runs every cell concurrently via the sweep runner and returns the stats
+/// Runs every cell concurrently on one sweep pool and returns the stats
 /// in input order — each run owns a private Machine, and the results land in
 /// pre-assigned slots, so the table a driver prints from them is
 /// byte-identical to the serial loop it replaces.
@@ -128,9 +129,17 @@ inline std::vector<lb::IterationStats> run_puzzle_sweep_journaled(
     bool resume, unsigned threads = 0) {
   std::vector<lb::IterationStats> results(runs.size());
   runtime::Journal journal(sweep_journal_path(journal_name));
-  runtime::SweepRunner runner(threads);
   runtime::run_journaled(
-      runner, runs.size(), &journal, resume,
+      threads, runs.size(), &journal, resume,
+      [&](std::size_t i) {
+        const PuzzleRun& r = runs[i];
+        const puzzle::PuzzleWorkload& wl = *r.workload;
+        return analysis::run_seed(
+            r.cfg, r.p, r.cost,
+            std::string(wl.name) + ' ' + std::to_string(wl.seed) + ' ' +
+                std::to_string(wl.walk_steps) + ' ' +
+                std::to_string(wl.solution_length));
+      },
       [&](std::size_t i, const std::string& payload) {
         return lb::decode_journal(payload, results[i]);
       },

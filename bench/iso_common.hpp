@@ -59,7 +59,7 @@ inline bool parse_mega_flag(int argc, char** argv) {
 }
 
 /// Runs the grid for one scheme — every (P, W) cell concurrently via the
-/// parallel sweep runner inside analysis::run_grid — then prints the raw
+/// sweep pool inside analysis::run_grid — then prints the raw
 /// grid, the extracted curves in the paper's (P log P, W) coordinates, and a
 /// straight-line verdict; emits CSVs under the given name.  Results are
 /// bit-identical to the serial run for any host thread count.

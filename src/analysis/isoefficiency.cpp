@@ -58,6 +58,35 @@ bool decode_grid_point(const std::string& payload, GridPoint& out) {
   return true;
 }
 
+std::uint64_t run_seed(const lb::SchemeConfig& config, std::uint32_t p,
+                       const simd::CostModel& cost,
+                       std::string_view workload) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  std::ostringstream os;
+  os << "v1 " << static_cast<int>(config.match) << ' '
+     << static_cast<int>(config.trigger) << ' ' << bits(config.static_x) << ' '
+     << config.multiple_transfers << ' ' << config.max_pairs_per_round << ' '
+     << static_cast<int>(config.transfer) << ' '
+     << static_cast<int>(config.split) << ' ' << static_cast<int>(config.busy)
+     << ' ' << bits(config.init_threshold) << ' ' << config.record_trace << ' '
+     << config.track_stack_memory << ' ' << p << ' ' << bits(cost.t_expand)
+     << ' ' << bits(cost.t_lb) << ' ' << bits(cost.lb_cost_multiplier) << ' '
+     << static_cast<int>(cost.topology) << ' ' << bits(cost.t_neighbor) << ' '
+     << workload;
+  return runtime::Journal::checksum(0, os.str());
+}
+
+std::uint64_t grid_point_seed(const lb::SchemeConfig& config, std::uint32_t p,
+                              const synthetic::Params& shape,
+                              const simd::CostModel& cost,
+                              std::uint64_t cycle_budget) {
+  std::ostringstream os;
+  os << shape.seed << ' ' << shape.max_children << ' '
+     << std::bit_cast<std::uint64_t>(shape.fertility) << ' ' << shape.max_depth
+     << ' ' << cycle_budget;
+  return run_seed(config, p, cost, os.str());
+}
+
 GridResult run_grid(const lb::SchemeConfig& config,
                     std::span<const synthetic::SyntheticWorkload> workloads,
                     std::span<const std::uint32_t> machine_sizes,
@@ -78,10 +107,14 @@ GridResult run_grid(const lb::SchemeConfig& config,
 
   std::optional<runtime::Journal> journal;
   if (!options.journal_path.empty()) journal.emplace(options.journal_path);
-  runtime::SweepRunner runner(options.threads);
   runtime::run_journaled(
-      runner, result.points.size(), journal ? &*journal : nullptr,
+      options.threads, result.points.size(), journal ? &*journal : nullptr,
       options.resume,
+      [&](std::size_t k) {
+        return grid_point_seed(config, machine_sizes[k / per_size],
+                               workloads[k % per_size].params, cost,
+                               options.cycle_budget);
+      },
       [&](std::size_t k, const std::string& payload) {
         return decode_grid_point(payload, result.points[k]);
       },

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "lb/config.hpp"
@@ -45,6 +46,23 @@ struct GridPoint {
 [[nodiscard]] std::string encode_grid_point(const GridPoint& pt);
 [[nodiscard]] bool decode_grid_point(const std::string& payload,
                                      GridPoint& out);
+
+/// Checksum seed for a journaled run (runtime::run_journaled): a fingerprint
+/// of every input the run's result depends on — each field of `config` and
+/// `cost`, the machine size `p`, and `workload`, the caller's canonical text
+/// for the problem instance and anything else that shapes the run.  An entry
+/// journaled under other inputs is then not intact, and its slot re-runs.
+[[nodiscard]] std::uint64_t run_seed(const lb::SchemeConfig& config,
+                                     std::uint32_t p,
+                                     const simd::CostModel& cost,
+                                     std::string_view workload);
+
+/// run_seed of run_grid's slot for machine size `p` and tree `shape`.
+[[nodiscard]] std::uint64_t grid_point_seed(const lb::SchemeConfig& config,
+                                            std::uint32_t p,
+                                            const synthetic::Params& shape,
+                                            const simd::CostModel& cost,
+                                            std::uint64_t cycle_budget);
 
 struct GridResult {
   lb::SchemeConfig config;
@@ -77,9 +95,10 @@ struct GridOptions {
     const simd::CostModel& cost, unsigned threads = 0);
 
 /// As above with robustness options: watchdog budget and checkpoint/resume
-/// journaling.  A resumed grid (same config/workloads/sizes) reproduces the
-/// uninterrupted result bit-identically — completed slots are replayed from
-/// the journal, the rest are re-run (determinism makes the merge exact).
+/// journaling.  A resumed grid reproduces the uninterrupted result
+/// bit-identically — completed slots whose inputs match (grid_point_seed)
+/// are replayed from the journal, the rest are re-run (determinism makes
+/// the merge exact).
 /// The journal file is left in place; callers delete it (via
 /// runtime::Journal::remove) once derived outputs are safely written.
 [[nodiscard]] GridResult run_grid(

@@ -1,6 +1,6 @@
 // Typed errors for the simdts library.
 //
-// Bench drivers and the sweep runner need to tell three failure classes
+// Bench drivers and the sweeps need to tell three failure classes
 // apart: a configuration that can never work (reject up front, print the
 // offending parameter), a simulation that blew its watchdog budget (report a
 // typed timeout result and move on), and a transient host-side hiccup (retry
@@ -95,7 +95,7 @@ class TimeoutError : public Error {
   std::uint64_t budget_;
 };
 
-/// A host-side failure worth retrying (the sweep runner backs off and
+/// A host-side failure worth retrying (runtime::run_tasks backs off and
 /// re-attempts the task up to its retry policy's limit).
 class TransientError : public Error {
  public:

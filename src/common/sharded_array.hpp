@@ -1,22 +1,16 @@
 // Word-aligned chunked storage for per-lane state at mega-P scale.
 //
-// A machine of P = 2^20 lanes needs P per-PE objects (work stacks, scratch
-// slots).  One std::vector<T> of that length works, but a single contiguous
-// allocation of tens of megabytes is hostile to the allocator (it forces one
-// huge arena that can neither grow incrementally nor return partial pages)
-// and resizing it ever would move every element.  A ShardedArray stores the
-// elements in fixed-size shards — 4096 elements each, i.e. 64 flag-plane
-// words of lanes, matching the engine's host-thread partition alignment — so
-// allocation is incremental, element addresses are stable for the array's
-// lifetime, and indexing stays two shifts and a mask.
-//
-// The shard size being a multiple of 64 lanes preserves the engine's
-// bit-exact word-granularity ownership discipline: no flag-plane word ever
-// maps to elements of two different shards.
+// A ShardedArray stores P per-PE objects (the engine's work stacks) in
+// fixed-size shards of 4096 elements — 64 flag-plane words of lanes,
+// matching the engine's host-thread partition alignment, so no flag-plane
+// word ever maps to elements of two shards.  Every shard is allocated up
+// front and the array is never resized, so element addresses are stable
+// for its lifetime; indexing is a shift and a mask.  (One std::vector in
+// its place was measured: at P = 8192 it made engine construction ~35%
+// slower, with no page faults; the cause is not known.)
 #pragma once
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 namespace simdts::common {
@@ -27,8 +21,6 @@ class ShardedArray {
   /// Elements per shard; a power of two and a multiple of 64 (one flag-plane
   /// word of lanes never spans two shards).
   static constexpr std::size_t kShardElems = 4096;
-
-  ShardedArray() = default;
 
   explicit ShardedArray(std::size_t n) : size_(n) {
     const std::size_t shards = (n + kShardElems - 1) / kShardElems;
@@ -41,7 +33,6 @@ class ShardedArray {
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
   [[nodiscard]] T& operator[](std::size_t i) noexcept {
     return shards_[i / kShardElems][i % kShardElems];

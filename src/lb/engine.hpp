@@ -51,7 +51,7 @@
 // the run is bit-identical to the pre-fault engine.
 // Mega-P (P up to 2^20 and beyond): three coordinated mechanisms keep such
 // machines practical.  Per-lane state lives in a common::ShardedArray
-// (64-word-aligned chunks, stable addresses, incremental allocation); each
+// (64-word-aligned chunks allocated up front, stable addresses); each
 // flag plane carries a simd::SummaryPlane (one bit per 64-lane word,
 // maintained at the same write-back that stores the word) so the expansion
 // walk and every load-balancing enumeration skip empty regions and scale
@@ -150,7 +150,7 @@ class Engine {
   /// Watchdog: a nonzero budget bounds the expand cycles of each bounded DFS
   /// (each run_iteration / IDA* iteration); exceeding it throws
   /// simdts::TimeoutError with the scheme, machine size, and cycle count.
-  /// The sweep runner converts that into a typed per-task timeout result.
+  /// runtime::run_tasks converts that into a typed per-task timeout result.
   void set_cycle_budget(std::uint64_t max_cycles) {
     cycle_budget_ = max_cycles;
   }

@@ -19,8 +19,8 @@ bool parse_hex(std::string_view token, std::uint64_t& out) {
 
 }  // namespace
 
-bool Journal::Entry::intact(std::uint64_t key) const {
-  return checksum == Journal::checksum(key, payload);
+bool Journal::Entry::intact(std::uint64_t key, std::uint64_t seed) const {
+  return checksum == Journal::checksum(key ^ seed, payload);
 }
 
 Journal::Journal(std::filesystem::path path) : path_(std::move(path)) {}
@@ -60,8 +60,9 @@ std::map<std::uint64_t, Journal::Entry> Journal::load() const {
   return entries;
 }
 
-std::uint64_t Journal::record(std::uint64_t key, std::string_view payload) {
-  const std::uint64_t sum = checksum(key, payload);
+std::uint64_t Journal::record(std::uint64_t key, std::string_view payload,
+                              std::uint64_t seed) {
+  const std::uint64_t sum = checksum(key ^ seed, payload);
   record_with_checksum(key, sum, payload);
   return sum;
 }

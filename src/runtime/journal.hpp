@@ -1,10 +1,12 @@
 // The one append-only journal, for sweep checkpoints and the result cache.
 //
 // One line per record, `<key hex> <checksum hex> <payload> ok`, where the
-// checksum is FNV-1a-64 over the payload seeded by the key, so an entry can
-// only vouch for the payload filed under its own key.  Sweeps key by slot
-// and store bit-exact payloads (lb::encode_journal, encode_grid_point);
-// service::ResultCache keys by canonical request key.
+// checksum is FNV-1a-64 over the payload seeded by the key and the writer's
+// seed, so an entry can only vouch for the payload filed under its own key
+// and seed.  Sweeps key by slot, seed by a fingerprint of the slot's inputs
+// (see runtime::run_journaled), and store bit-exact payloads
+// (lb::encode_journal, encode_grid_point); service::ResultCache keys by
+// canonical request key, with seed 0.
 //
 // Only a line that parses whole and ends in the "ok" marker loads, so a
 // torn final line (a crash mid-write) is dropped, and the first append after
@@ -32,8 +34,9 @@ class Journal {
     std::uint64_t checksum = 0;  ///< as stored on the line
     std::string payload;
 
-    /// True when the stored checksum matches checksum(key, payload).
-    [[nodiscard]] bool intact(std::uint64_t key) const;
+    /// True when the stored checksum matches checksum(key ^ seed, payload),
+    /// i.e. the entry was recorded under this key with this seed.
+    [[nodiscard]] bool intact(std::uint64_t key, std::uint64_t seed = 0) const;
   };
 
   /// Names the journal at `path`; nothing is opened or created until the
@@ -53,11 +56,12 @@ class Journal {
   /// Entry::intact).  A missing file yields an empty map.
   [[nodiscard]] std::map<std::uint64_t, Entry> load() const;
 
-  /// Appends `payload` under `key` with its checksum, flushes, and returns
-  /// the checksum.  Thread-safe.  Throws simdts::InvariantError for a
-  /// payload containing a newline and simdts::Error when the file cannot be
-  /// written.
-  std::uint64_t record(std::uint64_t key, std::string_view payload);
+  /// Appends `payload` under `key` with its checksum, checksum(key ^ seed,
+  /// payload), flushes, and returns the checksum.  Thread-safe.  Throws
+  /// simdts::InvariantError for a payload containing a newline and
+  /// simdts::Error when the file cannot be written.
+  std::uint64_t record(std::uint64_t key, std::string_view payload,
+                       std::uint64_t seed = 0);
 
   /// As record(), but stores `checksum` instead of computing it: the
   /// scripted cache-corruption fault files a damaged payload under its

@@ -1,10 +1,7 @@
 #include "runtime/sweep.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <exception>
-#include <mutex>
 #include <thread>
 
 #include "common/env.hpp"
@@ -20,44 +17,9 @@ unsigned sweep_threads() {
       "SIMDTS_SWEEP_THREADS", hw > 0 ? hw : 1, kMaxSweepThreads));
 }
 
-SweepRunner::SweepRunner(unsigned threads)
-    : threads_(threads == 0 ? sweep_threads() : threads) {}
-
-void SweepRunner::run_impl(std::size_t n, void* ctx, Trampoline fn) {
-  if (n == 0) return;
-  const unsigned workers = static_cast<unsigned>(
-      std::min<std::size_t>(threads_, n));
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(ctx, i);
-    return;
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::mutex err_mu;
-  std::exception_ptr first_error;
-  auto drain = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      try {
-        fn(ctx, i);
-      } catch (...) {
-        const std::lock_guard lock(err_mu);
-        if (!first_error) first_error = std::current_exception();
-        // Stop handing out further work; in-flight tasks still finish.
-        next.store(n, std::memory_order_relaxed);
-      }
-    }
-  };
-
-  std::vector<std::thread> extra;
-  extra.reserve(workers - 1);
-  for (unsigned t = 1; t < workers; ++t) {
-    extra.emplace_back(drain);
-  }
-  drain();
-  for (auto& t : extra) t.join();
-  if (first_error) std::rethrow_exception(first_error);
+unsigned sweep_lanes(unsigned threads, std::size_t n) {
+  const unsigned wanted = threads == 0 ? sweep_threads() : threads;
+  return static_cast<unsigned>(std::clamp<std::size_t>(n, 1, wanted));
 }
 
 const char* to_string(TaskStatus s) {
@@ -84,13 +46,14 @@ std::uint64_t backoff_delay_ms(const RetryPolicy& policy, std::uint32_t retry,
   return base + fault::splitmix64(state) % base;
 }
 
-std::vector<TaskReport> run_tasks(SweepRunner& runner, std::size_t n,
+std::vector<TaskReport> run_tasks(unsigned threads, std::size_t n,
                                   const std::function<void(std::size_t)>& task,
                                   RetryPolicy policy) {
   std::vector<TaskReport> reports(n);
   const std::uint32_t max_attempts = std::max(policy.max_attempts, 1u);
-  // SIMDLINT-SOURCE(partition) — the slot index arrives on whichever worker
-  runner.run(n, [&](std::size_t i) {
+  simd::ThreadPool pool(sweep_lanes(threads, n));
+  // SIMDLINT-SOURCE(partition) — the slot index arrives on whichever lane
+  pool.run(n, [&](std::size_t i) {
     TaskReport& r = reports[i];
     for (std::uint32_t attempt = 0;; ++attempt) {
       r.attempts = attempt + 1;
@@ -121,24 +84,32 @@ std::vector<TaskReport> run_tasks(SweepRunner& runner, std::size_t n,
 }
 
 void run_journaled(
-    SweepRunner& runner, std::size_t n, Journal* journal, bool resume,
+    unsigned threads, std::size_t n, Journal* journal, bool resume,
+    const std::function<std::uint64_t(std::size_t)>& seed,
     const std::function<bool(std::size_t, const std::string&)>& replay,
     const std::function<std::string(std::size_t)>& task) {
   // Determinism makes the merge exact: a replayed slot is bit-identical to
-  // what its re-run would produce.  A damaged entry fails its checksum and
-  // simply re-runs.
+  // what its re-run would produce.  A damaged entry, or one written under
+  // other inputs, fails its checksum and simply re-runs.
+  std::vector<std::uint64_t> seeds;
   std::vector<std::uint8_t> done(n, std::uint8_t{0});
-  if (journal != nullptr && resume) {
-    for (const auto& [key, entry] : journal->load()) {
-      if (key < n && entry.intact(key) && replay(key, entry.payload)) {
-        done[key] = 1;
+  if (journal != nullptr) {
+    seeds.reserve(n);
+    for (std::size_t k = 0; k < n; ++k) seeds.push_back(seed(k));
+    if (resume) {
+      for (const auto& [key, entry] : journal->load()) {
+        if (key < n && entry.intact(key, seeds[key]) &&
+            replay(key, entry.payload)) {
+          done[key] = 1;
+        }
       }
     }
   }
-  runner.run(n, [&](std::size_t k) {
+  simd::ThreadPool pool(sweep_lanes(threads, n));
+  pool.run(n, [&](std::size_t k) {
     if (done[k] != 0) return;
     const std::string payload = task(k);
-    if (journal != nullptr) journal->record(k, payload);
+    if (journal != nullptr) journal->record(k, payload, seeds[k]);
   });
 }
 

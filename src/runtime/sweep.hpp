@@ -1,5 +1,4 @@
-// Parallel sweep runner: a work-queue executor for grids of independent
-// simulations.
+// Sweeps: grids of independent simulations on one simd::ThreadPool.
 //
 // Every figure and table in the reproduction is a sweep over fully
 // independent, deterministic runs — (config, machine size, workload) tuples
@@ -7,23 +6,21 @@
 // simulated time, so nothing about a run depends on when or where the host
 // executes it.  That makes the whole bench suite embarrassingly parallel at
 // the *sweep* level, which is where the wall-clock win is (the per-cycle
-// thread pool inside one Machine parallelizes a single run, but a sweep of
+// dispatch inside one Machine parallelizes a single run, but a sweep of
 // hundreds of runs scales trivially with host cores).
 //
 // Design:
-//   - run(n, task) executes task(0..n-1), each exactly once, pulling indices
-//     from a shared atomic counter (dynamic scheduling — grid tasks vary by
-//     orders of magnitude in cost, so static chunking would straggle).
+//   - A sweep of n tasks runs on one pool of sweep_lanes(threads, n) lanes,
+//     whose ThreadPool::run hands out task indices from an atomic counter
+//     (dynamic scheduling — grid tasks vary by orders of magnitude in cost,
+//     so static chunking would straggle).
 //   - Results go into pre-sized slots indexed by task id (see sweep_map), so
 //     output order — and therefore every CSV derived from it — is
 //     bit-identical to the serial run regardless of thread count or
 //     completion order.
-//   - Each task owns its private simd::Machine/engine state; the runner
-//     never shares simulation state across tasks.
-//   - Threads are spawned per sweep.  Tasks are whole simulations
-//     (milliseconds to seconds), so thread start-up cost is noise, and a
-//     sweep holds no idle threads alive between uses.
-// Robustness (docs/robustness.md): run_tasks() wraps run() with a typed
+//   - Each task owns its private simd::Machine/engine state; the pool never
+//     shares simulation state across tasks.
+// Robustness (docs/robustness.md): run_tasks() runs a sweep with a typed
 // per-task outcome — a task that throws simdts::TimeoutError (the engine
 // watchdog) yields a kTimeout report instead of aborting the sweep, a
 // simdts::TransientError is retried with exponential backoff up to the
@@ -35,15 +32,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
-#include <type_traits>
 #include <vector>
+
+#include "simd/thread_pool.hpp"
 
 namespace simdts::runtime {
 
-/// Upper bound on $SIMDTS_SWEEP_THREADS: a sweep spawns up to this many
-/// workers, so a larger value is a typo, not a host.
+/// Upper bound on $SIMDTS_SWEEP_THREADS: a sweep runs up to this many
+/// lanes, so a larger value is a typo, not a host.
 inline constexpr std::uint64_t kMaxSweepThreads = 1024;
 
 /// Host threads a sweep uses by default: $SIMDTS_SWEEP_THREADS if set, else
@@ -51,31 +48,12 @@ inline constexpr std::uint64_t kMaxSweepThreads = 1024;
 /// [1, kMaxSweepThreads] throws simdts::ConfigError naming the variable.
 [[nodiscard]] unsigned sweep_threads();
 
-class SweepRunner {
- public:
-  /// `threads == 0` picks sweep_threads(); `threads == 1` runs inline.
-  explicit SweepRunner(unsigned threads = 0);
+/// Lanes of the pool a sweep of `n` tasks runs on: min(threads, n), and at
+/// least 1, with `threads == 0` meaning sweep_threads().
+[[nodiscard]] unsigned sweep_lanes(unsigned threads, std::size_t n);
 
-  [[nodiscard]] unsigned threads() const noexcept { return threads_; }
-
-  /// Runs task(i) for every i in [0, n), each exactly once, across up to
-  /// threads() host threads; blocks until all tasks finish.  Tasks must not
-  /// share mutable state (distinct result slots are fine).  If any task
-  /// throws, the sweep stops handing out new indices and the first captured
-  /// exception is rethrown after all in-flight tasks finish.
-  template <typename F>
-  void run(std::size_t n, F&& task) {
-    using Fn = std::remove_reference_t<F>;
-    run_impl(n, const_cast<std::remove_const_t<Fn>*>(std::addressof(task)),
-             [](void* ctx, std::size_t i) { (*static_cast<Fn*>(ctx))(i); });
-  }
-
- private:
-  using Trampoline = void (*)(void*, std::size_t);
-  void run_impl(std::size_t n, void* ctx, Trampoline fn);
-
-  unsigned threads_;
-};
+/// The name perfbench still uses for the sweep pool.
+using SweepRunner = simd::ThreadPool;
 
 /// Outcome class of one sweep task under run_tasks().
 enum class TaskStatus : std::uint8_t {
@@ -127,25 +105,31 @@ struct RetryPolicy {
                                              std::uint32_t retry,
                                              std::uint64_t salt = 0);
 
-/// Like SweepRunner::run, but failures are contained per task: returns one
-/// TaskReport per index instead of rethrowing the first exception.  A task
-/// throwing TransientError is re-attempted (with exponential backoff) up to
-/// policy.max_attempts times; TimeoutError and other exceptions settle the
-/// task immediately.  The sweep always visits every index.
+/// Runs task(i) for every i in [0, n) on a pool of sweep_lanes(threads, n)
+/// lanes, with failures contained per task: returns one TaskReport per index
+/// instead of rethrowing.  A task throwing TransientError is re-attempted
+/// (with exponential backoff) up to policy.max_attempts times; TimeoutError
+/// and other exceptions settle the task immediately.  The sweep always
+/// visits every index.
 [[nodiscard]] std::vector<TaskReport> run_tasks(
-    SweepRunner& runner, std::size_t n,
+    unsigned threads, std::size_t n,
     const std::function<void(std::size_t)>& task, RetryPolicy policy = {});
 
 class Journal;
 
-/// Checkpointed sweep over slots [0, n).  With `resume`, every intact
-/// journal entry for a slot in range is offered to `replay(k, payload)`; a
-/// slot whose payload replay accepts is done.  Every other slot runs
-/// `task(k)`, and the payload it returns is recorded under key k.  A null
-/// `journal` runs every slot and records nothing.  Like SweepRunner::run,
-/// the first exception a task throws is rethrown.
-void run_journaled(SweepRunner& runner, std::size_t n, Journal* journal,
+/// Checkpointed sweep over slots [0, n) on a pool of sweep_lanes(threads, n)
+/// lanes.  Slot k's journal entry is checksummed under seed(k), a
+/// fingerprint of the inputs its result depends on.  With `resume`, every
+/// journal entry for a slot in range that is intact under that seed is
+/// offered to `replay(k, payload)`; a slot whose payload replay accepts is
+/// done.  An entry written under other inputs is not intact, so its slot
+/// runs again.  Every other slot runs `task(k)`, and the payload it returns
+/// is recorded under key k.  A null `journal` runs every slot and records
+/// nothing.  Like ThreadPool::run, the exception of the lowest failing slot
+/// is rethrown.
+void run_journaled(unsigned threads, std::size_t n, Journal* journal,
                    bool resume,
+                   const std::function<std::uint64_t(std::size_t)>& seed,
                    const std::function<bool(std::size_t, const std::string&)>&
                        replay,
                    const std::function<std::string(std::size_t)>& task);
@@ -156,8 +140,8 @@ template <typename T, typename F>
 [[nodiscard]] std::vector<T> sweep_map(std::size_t n, F&& fn,
                                        unsigned threads = 0) {
   std::vector<T> out(n);
-  SweepRunner runner(threads);
-  runner.run(n, [&](std::size_t i) { out[i] = fn(i); });
+  simd::ThreadPool pool(sweep_lanes(threads, n));
+  pool.run(n, [&](std::size_t i) { out[i] = fn(i); });
   return out;
 }
 

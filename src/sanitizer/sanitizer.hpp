@@ -77,7 +77,7 @@ struct MutationHooks {
 //
 // Word indices only mean something relative to one engine's flag-plane
 // arrays, and independent engines legitimately run at the same time (the
-// sweep runner fans whole grid points across host threads), so claims live
+// sweeps fan whole grid points across host threads), so claims live
 // in a per-engine ClaimDomain rather than a process-wide registry —
 // otherwise two concurrent engines' word 0 would look like a race.
 

@@ -260,11 +260,10 @@ std::vector<Response> SolveService::run_trace(
   // Per-slot attempt counter for the scripted crashes.  Safe without a lock:
   // run_tasks retries a slot inside the worker that owns it.
   std::vector<std::uint32_t> crash_seen(slots.size(), 0);
-  runtime::SweepRunner runner(cfg_.threads);
   runtime::RetryPolicy exec_policy = cfg_.retry;
   exec_policy.backoff_ms = 0;  // backoff is charged virtually, never slept
   const std::vector<runtime::TaskReport> reports = runtime::run_tasks(
-      runner, slots.size(),
+      cfg_.threads, slots.size(),
       [&](std::size_t s) {
         const Slot& sl = slots[s];
         const Request& r = trace[sl.trace_index];

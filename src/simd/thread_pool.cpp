@@ -4,21 +4,24 @@
 
 namespace simdts::simd {
 
-ThreadPool::ThreadPool(unsigned threads) {
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  lanes_ = threads;
-  errors_.resize(lanes_);
-  if (lanes_ > 1) {
-    workers_.reserve(lanes_);
-    for (unsigned lane = 0; lane < lanes_; ++lane) {
+ThreadPool::ThreadPool(unsigned threads)
+    : lanes_(threads != 0 ? threads
+                          : std::max(1u, std::thread::hardware_concurrency())),
+      failures_(lanes_) {
+  workers_.reserve(lanes_ - 1);
+  try {
+    for (unsigned lane = 1; lane < lanes_; ++lane) {
       workers_.emplace_back([this, lane] { worker(lane); });
     }
+  } catch (...) {
+    stop_workers();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_workers(); }
+
+void ThreadPool::stop_workers() noexcept {
   {
     std::lock_guard lock(mu_);
     stop_ = true;
@@ -35,17 +38,29 @@ std::size_t ThreadPool::chunk_size(std::size_t n,
   return align > 1 ? (chunk + align - 1) / align * align : chunk;
 }
 
-// SIMDLINT-SOURCE(partition) — the chunk split depends on the lane count
+bool ThreadPool::call(unsigned lane, std::size_t begin, std::size_t end) {
+  try {
+    fn_(ctx_, lane, begin, end);
+    return true;
+  } catch (...) {
+    failures_[lane] = {begin, std::current_exception()};
+    next_.store(n_, std::memory_order_relaxed);
+    return false;
+  }
+}
+
 void ThreadPool::run_lane(unsigned lane) {
-  const std::size_t chunk = chunk_size(n_, align_);
-  const std::size_t begin = std::min(n_, lane * chunk);
-  const std::size_t end = std::min(n_, begin + chunk);
-  if (begin < end) {
-    try {
-      fn_(ctx_, lane, begin, end);
-    } catch (...) {
-      errors_[lane] = std::current_exception();
-    }
+  if (chunk_ != 0) {
+    // SIMDLINT-SOURCE(partition) — the chunk split depends on the lane count
+    const std::size_t begin = std::min(n_, lane * chunk_);
+    const std::size_t end = std::min(n_, begin + chunk_);
+    if (begin < end) call(lane, begin, end);
+    return;
+  }
+  for (;;) {
+    // SIMDLINT-SOURCE(partition) — which lane draws an index depends on timing
+    const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+    if (i >= n_ || !call(lane, i, i + 1)) return;
   }
 }
 
@@ -66,34 +81,38 @@ void ThreadPool::worker(unsigned lane) {
   }
 }
 
-void ThreadPool::dispatch(std::size_t n, std::size_t align, void* ctx,
+void ThreadPool::dispatch(std::size_t n, std::size_t chunk, void* ctx,
                           Trampoline fn) {
   if (n == 0) return;
-  if (align == 0) align = 1;
-  // One non-empty chunk (a single lane, or n within one aligned chunk): run
-  // it here as lane 0 — exactly what the workers would do, minus the
-  // mutex/condvar round-trip.
-  if (chunk_size(n, align) >= n) {
-    fn(ctx, 0, 0, n);
-    return;
-  }
-  {
-    std::unique_lock lock(mu_);
-    n_ = n;
-    align_ = align;
-    ctx_ = ctx;
-    fn_ = fn;
-    std::fill(errors_.begin(), errors_.end(), nullptr);
-    pending_ = lanes_;
+  // One lane, one non-empty chunk, or one task: lane 0 does all of it here
+  // and no worker is woken.
+  const bool wake = lanes_ > 1 && chunk < n && n > 1;
+  std::unique_lock lock(mu_);
+  n_ = n;
+  chunk_ = chunk;
+  ctx_ = ctx;
+  fn_ = fn;
+  next_.store(0, std::memory_order_relaxed);
+  std::fill(failures_.begin(), failures_.end(), Failure{});
+  if (wake) {
+    pending_ = lanes_ - 1;
     ++generation_;
     cv_start_.notify_all();
-    cv_done_.wait(lock, [&] { return pending_ == 0; });
-    ctx_ = nullptr;
-    fn_ = nullptr;
   }
-  for (auto& err : errors_) {
-    if (err) std::rethrow_exception(err);
+  lock.unlock();
+  run_lane(0);
+  lock.lock();
+  cv_done_.wait(lock, [&] { return pending_ == 0; });
+  ctx_ = nullptr;
+  fn_ = nullptr;
+  lock.unlock();
+  // Chunks and handed-out indices both ascend, so the lowest failing index
+  // is the failure a serial loop would have met first.
+  const Failure* first = nullptr;
+  for (const Failure& f : failures_) {
+    if (f.error && (first == nullptr || f.index < first->index)) first = &f;
   }
+  if (first != nullptr) std::rethrow_exception(first->error);
 }
 
 }  // namespace simdts::simd

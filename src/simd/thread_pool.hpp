@@ -1,24 +1,16 @@
-// A small barrier-synchronised thread pool used to execute one lock-step PE
-// cycle across host threads.
+// A barrier-synchronised thread pool: the one set of host threads behind
+// every parallel loop, from one lock-step PE cycle to a sweep of whole runs.
 //
-// The pool mirrors the data-parallel structure of the emulated machine: a
-// cycle is one dispatch over the plane-word range, each worker owns a
-// contiguous chunk of PEs, and the call returns only after every worker has
-// finished (a barrier, exactly like the SIMD machine's implicit global
-// synchronisation).  Because each PE's state is private to its index, the
-// emulation is bit-deterministic regardless of the number of host threads.
-//
-// Dispatch is allocation-free: the body is passed as a (context, trampoline)
-// pair rather than a std::function, and parallel_for_lanes_aligned hands the
-// body its lane index so callers can reduce into pre-sized per-lane
-// accumulator slots after the barrier instead of merging under a mutex inside
-// the hot loop.
-//
-// On a single-core host (or with threads == 1), and for any dispatch whose
-// range fits in one aligned chunk, the pool degrades to an inline call with
-// zero synchronisation overhead.
+// A pool of k lanes starts k - 1 persistent workers and the calling thread
+// runs lane 0.  Both entry points end at one barrier, like the SIMD
+// machine's implicit global synchronisation, and pass the body as a
+// (context, trampoline) pair, so dispatch allocates nothing.  Each PE's
+// state and each task's result slot is private to its index, so results are
+// bit-identical for any lane count.  With one lane, one non-empty chunk or
+// one task, lane 0 does all the work and no worker is woken.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -33,8 +25,9 @@ namespace simdts::simd {
 
 class ThreadPool {
  public:
-  /// Creates a pool with `threads` workers.  `threads == 0` picks the host's
-  /// hardware concurrency; `threads == 1` means "run inline, no workers".
+  /// Creates a pool of `threads` lanes: threads - 1 workers plus the calling
+  /// thread.  `threads == 0` picks the host's hardware concurrency;
+  /// `threads == 1` starts no worker and runs everything inline.
   explicit ThreadPool(unsigned threads = 0);
   ~ThreadPool();
 
@@ -46,55 +39,85 @@ class ThreadPool {
 
   /// Runs body(lane, begin, end) over a partition of [0, n) into at most
   /// size() contiguous chunks, one per lane, and blocks until all chunks are
-  /// done.  Every chunk boundary is a multiple of `align` (the last chunk
-  /// still ends at n; align == 1 is the plain even split).  The engine uses
-  /// align == 64 plane words so each 64-word summary block — one summary
-  /// *word* — has a single writer per cycle.
+  /// done; lane 0's chunk runs on the calling thread.  Every chunk boundary
+  /// is a multiple of `align` (the last chunk still ends at n; align == 1 is
+  /// the plain even split).  The engine uses align == 64 plane words so each
+  /// 64-word summary block — one summary *word* — has a single writer per
+  /// cycle.
   ///
   /// Each lane index is used by at most one chunk per dispatch, so
   /// body(lane, ...) may write lane-private accumulators without locking; the
   /// caller reduces them after the call returns (i.e. at the barrier).  Lanes
   /// whose chunk is empty are not invoked.  Exceptions thrown by the body are
-  /// rethrown (the first one encountered, by lane order) after all lanes
-  /// finish.  When the partition has a single non-empty chunk (n fits in one
-  /// aligned chunk), body(0, 0, n) runs inline on the calling thread and no
-  /// worker is woken.
+  /// rethrown (the first one by chunk order) after all lanes finish.
   template <typename F>
   void parallel_for_lanes_aligned(std::size_t n, std::size_t align, F&& body) {
     using Fn = std::remove_reference_t<F>;
-    dispatch(n, align,
+    dispatch(n, chunk_size(n, align == 0 ? 1 : align),
              const_cast<std::remove_const_t<Fn>*>(std::addressof(body)),
              [](void* ctx, unsigned lane, std::size_t begin, std::size_t end) {
                (*static_cast<Fn*>(ctx))(lane, begin, end);
              });
   }
 
+  /// Runs task(i) for every i in [0, n), each exactly once, and blocks until
+  /// all tasks finish.  Indices are handed out from an atomic counter in
+  /// increasing order, one at a time, to whichever lane is free (a sweep's
+  /// tasks vary by orders of magnitude in cost, so a static split would
+  /// straggle).  Tasks must not share mutable state (distinct result slots
+  /// are fine).  After a task throws, no further index is handed out,
+  /// running tasks finish, and the exception of the lowest failing index is
+  /// rethrown — the one a serial loop would have met first, since every
+  /// lower index was handed out before it.
+  template <typename F>
+  void run(std::size_t n, F&& task) {
+    using Fn = std::remove_reference_t<F>;
+    dispatch(n, 0, const_cast<std::remove_const_t<Fn>*>(std::addressof(task)),
+             [](void* ctx, unsigned, std::size_t i, std::size_t) {
+               (*static_cast<Fn*>(ctx))(i);
+             });
+  }
+
  private:
   using Trampoline = void (*)(void*, unsigned, std::size_t, std::size_t);
 
-  void dispatch(std::size_t n, std::size_t align, void* ctx, Trampoline fn);
+  struct Failure {
+    std::size_t index = 0;  ///< the failing chunk's begin, or task index
+    std::exception_ptr error;
+  };
+
+  /// The one barrier: runs fn over [0, n) on every lane and waits for all of
+  /// them.  chunk > 0 is the static split (lane l takes [l*chunk,
+  /// (l+1)*chunk)); chunk == 0 hands out single indices from next_.
+  void dispatch(std::size_t n, std::size_t chunk, void* ctx, Trampoline fn);
   /// Chunk length of the aligned partition of [0, n) over size() lanes.
   [[nodiscard]] std::size_t chunk_size(std::size_t n,
                                        std::size_t align) const noexcept;
   void worker(unsigned lane);
   void run_lane(unsigned lane);
+  /// Runs fn_ on [begin, end); on a throw, records it for the lane, stops
+  /// the index handout and returns false.
+  bool call(unsigned lane, std::size_t begin, std::size_t end);
+  void stop_workers() noexcept;
 
   unsigned lanes_ = 1;
-  std::vector<std::thread> workers_;
 
   std::mutex mu_;
   std::condition_variable cv_start_;
   std::condition_variable cv_done_;
   std::uint64_t generation_ = 0;
-  unsigned pending_ = 0;
+  unsigned pending_ = 0;  ///< workers still inside the current dispatch
   bool stop_ = false;
 
-  // Per-dispatch state (valid while pending_ > 0).
+  // Per-dispatch state, set under mu_ and read-only until the barrier.
   std::size_t n_ = 0;
-  std::size_t align_ = 1;
+  std::size_t chunk_ = 0;
   void* ctx_ = nullptr;
   Trampoline fn_ = nullptr;
-  std::vector<std::exception_ptr> errors_;
+  std::atomic<std::size_t> next_{0};  ///< next index run() hands out
+  std::vector<Failure> failures_;     ///< one slot per lane
+
+  std::vector<std::thread> workers_;  ///< lanes 1 .. lanes_ - 1
 };
 
 }  // namespace simdts::simd

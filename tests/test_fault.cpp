@@ -180,7 +180,7 @@ TEST(FaultRecovery, RecoveryIsCostedOnTheMachineClock) {
 
 // ---------------------------------------------------------------------------
 // Determinism: fault runs are bit-identical across host thread counts, both
-// for the engine's per-cycle thread pool and for the sweep runner.
+// for the engine's per-cycle split and for the sweeps.
 // ---------------------------------------------------------------------------
 
 TEST(FaultDeterminism, IdenticalAcrossEngineThreadPools) {

@@ -17,6 +17,7 @@
 #include "runtime/journal.hpp"
 #include "runtime/sweep.hpp"
 #include "simd/cost_model.hpp"
+#include "simd/thread_pool.hpp"
 #include "synthetic/calibrate.hpp"
 
 namespace simdts {
@@ -243,8 +244,8 @@ TEST(Journal, ConcurrentRecordsAreWholeLines) {
   };
   constexpr std::size_t kRecords = 1200;
   runtime::Journal journal(path);
-  runtime::SweepRunner runner(4);
-  runner.run(kRecords, [&](std::size_t k) { journal.record(k, payload(k)); });
+  simd::ThreadPool pool(4);
+  pool.run(kRecords, [&](std::size_t k) { journal.record(k, payload(k)); });
 
   const auto entries = runtime::Journal(path).load();
   ASSERT_EQ(entries.size(), kRecords);
@@ -278,6 +279,13 @@ struct SmallGrid {
     }
   }
 
+  /// The checksum seed run_grid files slot k under (sizes-major).
+  std::uint64_t seed(std::size_t k) const {
+    return analysis::grid_point_seed(cfg, sizes[k / ladder.size()],
+                                     ladder[k % ladder.size()].params, cost,
+                                     0);
+  }
+
   analysis::GridResult run(const std::string& journal_path,
                            bool resume) const {
     analysis::GridOptions options;
@@ -299,8 +307,10 @@ TEST(ResumableGrid, ResumedRunIsBitIdentical) {
   std::remove(path.c_str());
   {
     runtime::Journal journal(path);
-    journal.record(0, analysis::encode_grid_point(reference.points[0]));
-    journal.record(3, analysis::encode_grid_point(reference.points[3]));
+    journal.record(0, analysis::encode_grid_point(reference.points[0]),
+                   grid.seed(0));
+    journal.record(3, analysis::encode_grid_point(reference.points[3]),
+                   grid.seed(3));
     // Simulate a torn final line from the crash.
     std::ofstream out(path, std::ios::app);
     out << journal_line(1, analysis::encode_grid_point(reference.points[1]))
@@ -315,7 +325,34 @@ TEST(ResumableGrid, ResumedRunIsBitIdentical) {
   // The journal now covers every slot (the re-run recorded the rest).
   const auto entries = runtime::Journal(path).load();
   EXPECT_EQ(entries.size(), 4u);
-  for (const auto& [key, entry] : entries) EXPECT_TRUE(entry.intact(key));
+  for (const auto& [key, entry] : entries) {
+    EXPECT_TRUE(entry.intact(key, grid.seed(key))) << "slot " << key;
+  }
+  runtime::Journal(path).remove();
+}
+
+// A journal written under other inputs never replays: each slot's checksum
+// is seeded by a fingerprint of its inputs, so after the P = 32 slots are
+// swapped for P = 64 those entries load as not intact and re-run, while the
+// unchanged P = 16 slots still replay.
+TEST(ResumableGrid, ForeignInputsAreRerunNotReplayed) {
+  SmallGrid before;
+  before.sizes[1] = 32;
+  const SmallGrid after;
+  const std::string path = temp_path("grid_foreign.journal");
+  std::remove(path.c_str());
+  (void)before.run(path, false);
+  for (const auto& [key, entry] : runtime::Journal(path).load()) {
+    EXPECT_EQ(entry.intact(key, after.seed(key)), key < after.ladder.size())
+        << "slot " << key;
+  }
+
+  const analysis::GridResult reference = after.run("", false);
+  const analysis::GridResult resumed = after.run(path, true);
+  ASSERT_EQ(resumed.points.size(), reference.points.size());
+  for (std::size_t i = 0; i < reference.points.size(); ++i) {
+    EXPECT_EQ(resumed.points[i], reference.points[i]) << "slot " << i;
+  }
   runtime::Journal(path).remove();
 }
 
@@ -365,7 +402,9 @@ TEST(Journal, OldFormatLinesAreRerunNotMisread) {
   // Every slot was re-run and recorded in the new format.
   const auto entries = runtime::Journal(path).load();
   EXPECT_EQ(entries.size(), reference.points.size());
-  for (const auto& [key, entry] : entries) EXPECT_TRUE(entry.intact(key));
+  for (const auto& [key, entry] : entries) {
+    EXPECT_TRUE(entry.intact(key, grid.seed(key))) << "slot " << key;
+  }
   std::remove(path.c_str());
 }
 
@@ -391,9 +430,8 @@ TEST(ResumableGrid, WatchdogMarksPointTimedOutInsteadOfHanging) {
 // ---------------------------------------------------------------------------
 
 TEST(RunTasks, ReportsOkTimeoutAndFailure) {
-  runtime::SweepRunner runner(2);
   const auto reports = runtime::run_tasks(
-      runner, 4,
+      2, 4,
       [](std::size_t i) {
         switch (i) {
           case 0: return;  // ok
@@ -416,10 +454,9 @@ TEST(RunTasks, ReportsOkTimeoutAndFailure) {
 }
 
 TEST(RunTasks, RetriesTransientFailuresWithBackoff) {
-  runtime::SweepRunner runner(1);
   std::atomic<int> calls{0};
   const auto reports = runtime::run_tasks(
-      runner, 1,
+      1, 1,
       [&](std::size_t) {
         // Fail twice, then succeed.
         if (calls.fetch_add(1) < 2) throw TransientError("blip");
@@ -432,10 +469,9 @@ TEST(RunTasks, RetriesTransientFailuresWithBackoff) {
 }
 
 TEST(RunTasks, GivesUpAfterMaxAttempts) {
-  runtime::SweepRunner runner(1);
   std::atomic<int> calls{0};
   const auto reports = runtime::run_tasks(
-      runner, 1,
+      1, 1,
       [&](std::size_t) {
         calls.fetch_add(1);
         throw TransientError("always down");
@@ -494,11 +530,10 @@ TEST(RunTasks, GiveUpCountMatchesScheduleLength) {
   // charged exactly max_attempts - 1 backoff delays; the final attempt is
   // not followed by a sleep.  (Guards the off-by-one between attempts and
   // retries that the schedule refactor fixed.)
-  runtime::SweepRunner runner(1);
   std::atomic<int> calls{0};
   const runtime::RetryPolicy policy{4, 0};
   const auto reports = runtime::run_tasks(
-      runner, 1,
+      1, 1,
       [&](std::size_t) {
         calls.fetch_add(1);
         throw TransientError("always down");

@@ -2,54 +2,23 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <numeric>
-#include <stdexcept>
 #include <vector>
 
 #include "analysis/isoefficiency.hpp"
+#include "simd/thread_pool.hpp"
 #include "synthetic/calibrate.hpp"
 
 namespace simdts::runtime {
 namespace {
 
-TEST(SweepRunner, RunsEveryTaskExactlyOnce) {
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    const std::size_t n = 100;
-    std::vector<std::atomic<int>> hits(n);
-    SweepRunner runner(threads);
-    runner.run(n, [&](std::size_t i) { hits[i].fetch_add(1); });
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "task " << i << " at " << threads
-                                   << " threads";
-    }
-  }
-}
-
-TEST(SweepRunner, ZeroTasksIsANoOp) {
-  SweepRunner runner(4);
-  runner.run(0, [](std::size_t) { FAIL() << "no task should run"; });
-}
-
-TEST(SweepRunner, MoreThreadsThanTasks) {
-  std::vector<std::atomic<int>> hits(3);
-  SweepRunner runner(16);
-  runner.run(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(SweepRunner, PropagatesTaskExceptions) {
-  SweepRunner runner(4);
-  EXPECT_THROW(runner.run(32,
-                          [](std::size_t i) {
-                            if (i == 7) throw std::runtime_error("boom");
-                          }),
-               std::runtime_error);
-}
-
-TEST(SweepRunner, ZeroThreadsPicksDefault) {
-  SweepRunner runner(0);
-  EXPECT_GE(runner.threads(), 1u);
+// A sweep's pool: min(threads, tasks) lanes, at least one, and 0 threads
+// means sweep_threads().
+TEST(ThreadPool, RunDefaultSizeIsAtLeastOne) {
+  const simd::ThreadPool pool(sweep_lanes(0, 64));
+  EXPECT_GE(pool.size(), 1u);
+  EXPECT_EQ(sweep_lanes(0, 1u << 20), sweep_threads());
+  EXPECT_EQ(sweep_lanes(16, 3), 3u);
+  EXPECT_EQ(sweep_lanes(4, 0), 1u);
 }
 
 TEST(SweepMap, ResultsLandInIndexOrder) {

@@ -6,7 +6,9 @@
 #include <atomic>
 #include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -161,6 +163,114 @@ TEST(ThreadPool, OneChunkDispatchRunsInlineAsLaneZero) {
   pool.parallel_for_lanes_aligned(
       65, 64, [&](unsigned, std::size_t, std::size_t) { ++chunks; });
   EXPECT_EQ(chunks.load(), 2);
+}
+
+TEST(ThreadPool, MultiChunkDispatchRunsChunkZeroOnTheCaller) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::mutex mu;
+  std::vector<std::pair<std::size_t, std::thread::id>> ran;
+  pool.parallel_for_lanes_aligned(
+      256, 64, [&](unsigned, std::size_t b, std::size_t) {
+        const std::lock_guard lock(mu);
+        ran.emplace_back(b, std::this_thread::get_id());
+      });
+  ASSERT_EQ(ran.size(), 4u);
+  for (const auto& [begin, id] : ran) {
+    EXPECT_EQ(id == caller, begin == 0) << "chunk at " << begin;
+  }
+}
+
+TEST(ThreadPool, KLaneDispatchUsesAtMostKThreads) {
+  for (const unsigned lanes : {1u, 2u, 3u, 4u}) {
+    ThreadPool pool(lanes);
+    std::mutex mu;
+    std::set<std::thread::id> ids;
+    const auto note = [&] {
+      const std::lock_guard lock(mu);
+      ids.insert(std::this_thread::get_id());
+    };
+    for (int round = 0; round < 20; ++round) {
+      pool.parallel_for_lanes_aligned(
+          1000, 1, [&](unsigned, std::size_t, std::size_t) { note(); });
+      pool.run(100, [&](std::size_t) { note(); });
+    }
+    EXPECT_LE(ids.size(), lanes) << lanes << " lanes";
+    EXPECT_EQ(ids.count(std::this_thread::get_id()), 1u) << lanes << " lanes";
+  }
+}
+
+// --- run(): the dynamic, one-index-at-a-time entry point.
+
+TEST(ThreadPool, RunRunsEveryTaskExactlyOnce) {
+  for (const unsigned lanes : {1u, 2u, 8u}) {
+    const std::size_t n = 100;
+    std::vector<std::atomic<int>> hits(n);
+    ThreadPool pool(lanes);
+    pool.run(n, [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "task " << i << " at " << lanes
+                                   << " lanes";
+    }
+  }
+}
+
+TEST(ThreadPool, RunZeroTasksIsANoOp) {
+  ThreadPool pool(4);
+  pool.run(0, [](std::size_t) { FAIL() << "no task should run"; });
+}
+
+TEST(ThreadPool, RunMoreLanesThanTasks) {
+  std::vector<std::atomic<int>> hits(3);
+  ThreadPool pool(16);
+  pool.run(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, RunPropagatesTaskExceptions) {
+  ThreadPool pool(4);
+  EXPECT_THROW(pool.run(32,
+                        [](std::size_t i) {
+                          if (i == 7) throw std::runtime_error("boom");
+                        }),
+               std::runtime_error);
+}
+
+// Every task at or after index 5 throws its own index.  Whichever lane
+// fails first, index 5 was handed out before any higher one, so it runs and
+// its exception is the one rethrown — at every lane count.
+TEST(ThreadPool, RunRethrowsTheLowestFailingIndex) {
+  for (const unsigned lanes : {1u, 2u, 3u, 8u}) {
+    ThreadPool pool(lanes);
+    for (int round = 0; round < 20; ++round) {
+      try {
+        pool.run(64, [](std::size_t i) {
+          if (i >= 5) throw std::runtime_error(std::to_string(i));
+        });
+        ADD_FAILURE() << "no exception at " << lanes << " lanes";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "5") << lanes << " lanes";
+      }
+    }
+  }
+}
+
+TEST(ThreadPool, RunIsReusableAfterAThrow) {
+  ThreadPool pool(4);
+  EXPECT_THROW(pool.run(50,
+                        [](std::size_t i) {
+                          if (i % 3 == 1) throw std::runtime_error("boom");
+                        }),
+               std::runtime_error);
+  std::vector<std::atomic<int>> hits(50);
+  pool.run(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  std::atomic<std::size_t> covered{0};
+  pool.parallel_for_lanes_aligned(
+      1000, 1, [&](unsigned, std::size_t b, std::size_t e) {
+        covered.fetch_add(e - b);
+      });
+  EXPECT_EQ(covered.load(), 1000u);
 }
 
 TEST(ThreadPool, DefaultPicksAtLeastOneLane) {
