@@ -89,21 +89,6 @@ struct PuzzleRun {
   simd::CostModel cost = simd::cm2_cost_model();
 };
 
-/// Runs every cell concurrently on one sweep pool and returns the stats
-/// in input order — each run owns a private Machine, and the results land in
-/// pre-assigned slots, so the table a driver prints from them is
-/// byte-identical to the serial loop it replaces.
-inline std::vector<lb::IterationStats> run_puzzle_sweep(
-    std::span<const PuzzleRun> runs, unsigned threads = 0) {
-  return runtime::sweep_map<lb::IterationStats>(
-      runs.size(),
-      [&](std::size_t i) {
-        const PuzzleRun& r = runs[i];
-        return run_puzzle(*r.workload, r.p, r.cfg, r.cost);
-      },
-      threads);
-}
-
 /// True when the command line asks to resume from an existing sweep journal.
 inline bool parse_resume_flag(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
@@ -117,20 +102,23 @@ inline std::string sweep_journal_path(const std::string& journal_name) {
   return analysis::out_dir() + "/" + journal_name + ".journal";
 }
 
-/// Checkpointing variant of run_puzzle_sweep: completed cells are journaled
-/// (encoded bit-exactly via lb::encode_journal) through
-/// runtime::run_journaled as the sweep runs; with `resume` the journal is
-/// loaded first and only the missing or damaged cells are re-run.
-/// Determinism makes the merged results — and every table printed from
-/// them — byte-identical to an uninterrupted sweep.  Callers delete the
-/// journal (see remove_sweep_journal) once their CSVs are safely written.
-inline std::vector<lb::IterationStats> run_puzzle_sweep_journaled(
-    std::span<const PuzzleRun> runs, const std::string& journal_name,
-    bool resume, unsigned threads = 0) {
+/// Runs every cell concurrently on one sweep pool, largest
+/// (serial_total, P) first, and returns the stats in input order.  Each run
+/// owns a private Machine and its result lands in a pre-assigned slot, so
+/// the table a driver prints from them is byte-identical to the serial loop
+/// it replaces.  With a `journal`, completed cells are journaled (encoded
+/// bit-exactly via lb::encode_journal) through runtime::run_journaled as the
+/// sweep runs, and with `resume` the journal is loaded first so only the
+/// missing or damaged cells are re-run.
+inline std::vector<lb::IterationStats> run_puzzle_sweep(
+    std::span<const PuzzleRun> runs, runtime::Journal* journal = nullptr,
+    bool resume = false, unsigned threads = 0) {
   std::vector<lb::IterationStats> results(runs.size());
-  runtime::Journal journal(sweep_journal_path(journal_name));
   runtime::run_journaled(
-      threads, runs.size(), &journal, resume,
+      threads, runs.size(), journal, resume,
+      [&](std::size_t i) {
+        return runtime::SlotSize{runs[i].workload->serial_total, runs[i].p};
+      },
       [&](std::size_t i) {
         const PuzzleRun& r = runs[i];
         const puzzle::PuzzleWorkload& wl = *r.workload;
@@ -149,6 +137,17 @@ inline std::vector<lb::IterationStats> run_puzzle_sweep_journaled(
         return lb::encode_journal(results[i]);
       });
   return results;
+}
+
+/// run_puzzle_sweep checkpointed to the driver's sweep journal.
+/// Determinism makes the merged results — and every table printed from
+/// them — byte-identical to an uninterrupted sweep.  Callers delete the
+/// journal (see remove_sweep_journal) once their CSVs are safely written.
+inline std::vector<lb::IterationStats> run_puzzle_sweep_journaled(
+    std::span<const PuzzleRun> runs, const std::string& journal_name,
+    bool resume, unsigned threads = 0) {
+  runtime::Journal journal(sweep_journal_path(journal_name));
+  return run_puzzle_sweep(runs, &journal, resume, threads);
 }
 
 /// Deletes a sweep journal written by run_puzzle_sweep_journaled.

@@ -111,6 +111,10 @@ GridResult run_grid(const lb::SchemeConfig& config,
       options.threads, result.points.size(), journal ? &*journal : nullptr,
       options.resume,
       [&](std::size_t k) {
+        return runtime::SlotSize{workloads[k % per_size].w,
+                                 machine_sizes[k / per_size]};
+      },
+      [&](std::size_t k) {
         return grid_point_seed(config, machine_sizes[k / per_size],
                                workloads[k % per_size].params, cost,
                                options.cycle_budget);

@@ -84,7 +84,8 @@ struct GridOptions {
 
 /// Runs the scheme over every (machine size, workload) pair.  The grid's
 /// runs are independent simulations, so they are swept concurrently across
-/// `threads` host threads (0 = runtime::sweep_threads()); each task owns a
+/// `threads` host threads (0 = runtime::sweep_threads()), the cell with the
+/// largest (workload w, P) first (runtime::run_journaled); each task owns a
 /// private simd::Machine and writes its pre-assigned slot, so the returned
 /// points — simulated counts and clocks included — are bit-identical to the
 /// serial run for any thread count.

@@ -85,6 +85,7 @@ std::vector<TaskReport> run_tasks(unsigned threads, std::size_t n,
 
 void run_journaled(
     unsigned threads, std::size_t n, Journal* journal, bool resume,
+    const std::function<SlotSize(std::size_t)>& size,
     const std::function<std::uint64_t(std::size_t)>& seed,
     const std::function<bool(std::size_t, const std::string&)>& replay,
     const std::function<std::string(std::size_t)>& task) {
@@ -105,9 +106,23 @@ void run_journaled(
       }
     }
   }
-  simd::ThreadPool pool(sweep_lanes(threads, n));
-  pool.run(n, [&](std::size_t k) {
-    if (done[k] != 0) return;
+  // Largest first: the sweep cannot end before its longest slot does, so
+  // that slot must not start last.  The order is a pure function of the
+  // inputs, which keeps the rethrown exception independent of the lanes.
+  std::vector<std::size_t> order;
+  std::vector<SlotSize> sizes(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    if (done[k] != 0) continue;
+    order.push_back(k);
+    sizes[k] = size(k);
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return sizes[a] > sizes[b];
+                   });
+  simd::ThreadPool pool(sweep_lanes(threads, order.size()));
+  pool.run(order.size(), [&](std::size_t i) {
+    const std::size_t k = order[i];
     const std::string payload = task(k);
     if (journal != nullptr) journal->record(k, payload, seeds[k]);
   });

@@ -14,6 +14,9 @@
 //     whose ThreadPool::run hands out task indices from an atomic counter
 //     (dynamic scheduling — grid tasks vary by orders of magnitude in cost,
 //     so static chunking would straggle).
+//   - run_journaled hands its slots out largest first (Graham's LPT rule):
+//     the caller sizes each slot, and the biggest cells start while every
+//     lane is free instead of last, when one of them would run alone.
 //   - Results go into pre-sized slots indexed by task id (see sweep_map), so
 //     output order — and therefore every CSV derived from it — is
 //     bit-identical to the serial run regardless of thread count or
@@ -29,6 +32,7 @@
 // runtime::Journal (the analysis and bench layers own the payload codecs).
 #pragma once
 
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -117,18 +121,30 @@ struct RetryPolicy {
 
 class Journal;
 
-/// Checkpointed sweep over slots [0, n) on a pool of sweep_lanes(threads, n)
-/// lanes.  Slot k's journal entry is checksummed under seed(k), a
-/// fingerprint of the inputs its result depends on.  With `resume`, every
-/// journal entry for a slot in range that is intact under that seed is
-/// offered to `replay(k, payload)`; a slot whose payload replay accepts is
-/// done.  An entry written under other inputs is not intact, so its slot
-/// runs again.  Every other slot runs `task(k)`, and the payload it returns
-/// is recorded under key k.  A null `journal` runs every slot and records
-/// nothing.  Like ThreadPool::run, the exception of the lowest failing slot
-/// is rethrown.
+/// A sweep slot's size estimate: w, the work it does, then p, its machine
+/// size.  Compared in that order; run_journaled starts larger slots first.
+struct SlotSize {
+  std::uint64_t w = 0;
+  std::uint64_t p = 0;
+
+  friend auto operator<=>(const SlotSize&, const SlotSize&) = default;
+};
+
+/// Checkpointed sweep over slots [0, n) on a pool of at most
+/// sweep_lanes(threads, n) lanes.  Slot k's journal entry is checksummed
+/// under seed(k), a fingerprint of the inputs its result depends on.  With
+/// `resume`, every journal entry for a slot in range that is intact under
+/// that seed is offered to `replay(k, payload)`; a slot whose payload replay
+/// accepts is done.  An entry written under other inputs is not intact, so
+/// its slot runs again.  Every other slot runs `task(k)`, and the payload it
+/// returns is recorded under key k.  Those slots are handed out in
+/// descending size(k), ties in slot order; results, keys and seeds stay
+/// indexed by slot.  A null `journal` runs every slot and records nothing.
+/// Like ThreadPool::run, the exception of the failing slot handed out first
+/// is rethrown, which does not depend on the lane count.
 void run_journaled(unsigned threads, std::size_t n, Journal* journal,
                    bool resume,
+                   const std::function<SlotSize(std::size_t)>& size,
                    const std::function<std::uint64_t(std::size_t)>& seed,
                    const std::function<bool(std::size_t, const std::string&)>&
                        replay,

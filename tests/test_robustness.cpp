@@ -2,11 +2,14 @@
 // checkpoint/resume, and the retrying sweep wrapper (docs/robustness.md).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -406,6 +409,175 @@ TEST(Journal, OldFormatLinesAreRerunNotMisread) {
     EXPECT_TRUE(entry.intact(key, grid.seed(key))) << "slot " << key;
   }
   std::remove(path.c_str());
+}
+
+/// The journal's keys in line order.
+std::vector<std::size_t> journal_line_keys(const std::string& path) {
+  std::vector<std::size_t> keys;
+  std::istringstream in(read_file(path));
+  for (std::string line; std::getline(in, line);) {
+    keys.push_back(std::stoull(line.substr(0, line.find(' ')), nullptr, 16));
+  }
+  return keys;
+}
+
+// A one-lane grid journals its cells in handout order: largest workload w
+// first, and the larger machine first among equal w.
+TEST(ResumableGrid, JournalStartsWithTheLargestCell) {
+  const SmallGrid grid;
+  ASSERT_NE(grid.ladder[0].w, grid.ladder[1].w);
+  const std::size_t big = grid.ladder[0].w > grid.ladder[1].w ? 0 : 1;
+  const std::size_t small = 1 - big;
+  const std::size_t per_size = grid.ladder.size();
+  const std::string path = temp_path("grid_order.journal");
+  std::remove(path.c_str());
+  (void)grid.run(path, false);
+  EXPECT_EQ(journal_line_keys(path),
+            (std::vector<std::size_t>{per_size + big, big, per_size + small,
+                                      small}));
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// run_journaled: slots handed out largest first, results kept by slot.
+// ---------------------------------------------------------------------------
+
+/// Eight slots whose sizes tie on w and on (w, p).
+constexpr runtime::SlotSize kSlotSizes[] = {{3, 1}, {9, 2}, {3, 1}, {1, 8},
+                                            {9, 2}, {9, 4}, {3, 5}, {0, 0}};
+/// kSlotSizes in descending order, equal sizes in slot order.
+const std::vector<std::size_t> kLargestFirst = {5, 1, 4, 6, 0, 2, 3, 7};
+constexpr std::size_t kSlots = std::size(kSlotSizes);
+
+runtime::SlotSize slot_size(std::size_t k) { return kSlotSizes[k]; }
+std::uint64_t slot_seed(std::size_t k) { return 0x5eed00 + 7 * k; }
+std::string slot_payload(std::size_t k) {
+  return "cell " + std::to_string(k * k + 1);
+}
+
+/// One run_journaled sweep of the eight slots: `results` is slot-indexed,
+/// and returns the slots whose task ran, in the order they started.
+std::vector<std::size_t> sweep_slots(unsigned lanes, runtime::Journal* journal,
+                                     bool resume,
+                                     std::vector<std::string>& results) {
+  results.assign(kSlots, "");
+  std::vector<std::size_t> ran;
+  std::mutex mu;
+  runtime::run_journaled(
+      lanes, kSlots, journal, resume, slot_size, slot_seed,
+      [&](std::size_t k, const std::string& payload) {
+        results[k] = payload;
+        return true;
+      },
+      [&](std::size_t k) {
+        {
+          const std::lock_guard<std::mutex> lock(mu);
+          ran.push_back(k);
+        }
+        results[k] = slot_payload(k);
+        return results[k];
+      });
+  return ran;
+}
+
+TEST(RunJournaled, OneLaneHandsOutLargestFirstWithTiesInSlotOrder) {
+  std::vector<std::string> results;
+  EXPECT_EQ(sweep_slots(1, nullptr, false, results), kLargestFirst);
+}
+
+TEST(RunJournaled, ResultsAndJournalKeysStaySlotIndexed) {
+  for (const unsigned lanes : {1u, 4u}) {
+    const std::string path = temp_path("run_journaled_slots.journal");
+    std::remove(path.c_str());
+    runtime::Journal journal(path);
+    std::vector<std::string> results;
+    std::vector<std::size_t> ran = sweep_slots(lanes, &journal, false, results);
+    std::sort(ran.begin(), ran.end());
+    EXPECT_EQ(ran.size(), kSlots) << lanes << " lanes";
+    const auto entries = journal.load();
+    ASSERT_EQ(entries.size(), kSlots) << lanes << " lanes";
+    for (std::size_t k = 0; k < kSlots; ++k) {
+      EXPECT_EQ(ran[k], k) << lanes << " lanes";
+      EXPECT_EQ(results[k], slot_payload(k)) << lanes << " lanes, slot " << k;
+      const auto& entry = entries.at(k);
+      EXPECT_EQ(entry.payload, slot_payload(k))
+          << lanes << " lanes, slot " << k;
+      EXPECT_TRUE(entry.intact(k, slot_seed(k)))
+          << lanes << " lanes, slot " << k;
+    }
+    if (lanes == 1) {
+      EXPECT_EQ(journal_line_keys(path), kLargestFirst);
+    }
+    journal.remove();
+  }
+}
+
+// A killed largest-first sweep leaves a journal of the first slots handed
+// out; resuming it runs only the rest, still largest first, and ends where
+// an uninterrupted sweep does.
+TEST(RunJournaled, ResumeFromTheFirstHandedOutSlotsEqualsAnUninterruptedRun) {
+  const std::string full_path = temp_path("run_journaled_full.journal");
+  std::remove(full_path.c_str());
+  std::vector<std::string> reference;
+  {
+    runtime::Journal journal(full_path);
+    (void)sweep_slots(1, &journal, false, reference);
+  }
+  std::istringstream full(read_file(full_path));
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(full, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), kSlots);
+
+  const std::string path = temp_path("run_journaled_killed.journal");
+  for (const std::size_t kept : {1u, 3u, 7u}) {
+    for (const unsigned lanes : {1u, 4u}) {
+      std::string prefix;
+      for (std::size_t i = 0; i < kept; ++i) prefix += lines[i] + '\n';
+      write_file(path, prefix);
+      runtime::Journal journal(path);
+      std::vector<std::string> resumed;
+      std::vector<std::size_t> ran = sweep_slots(lanes, &journal, true, resumed);
+      std::vector<std::size_t> rest(kLargestFirst.begin() + kept,
+                                    kLargestFirst.end());
+      if (lanes > 1) {
+        std::sort(ran.begin(), ran.end());
+        std::sort(rest.begin(), rest.end());
+      }
+      EXPECT_EQ(ran, rest) << kept << " kept, " << lanes << " lanes";
+      EXPECT_EQ(resumed, reference) << kept << " kept, " << lanes << " lanes";
+      const auto entries = journal.load();
+      EXPECT_EQ(entries.size(), kSlots) << kept << " kept, " << lanes
+                                        << " lanes";
+      for (const auto& [key, entry] : entries) {
+        EXPECT_TRUE(entry.intact(key, slot_seed(key))) << "slot " << key;
+      }
+    }
+  }
+  std::remove(path.c_str());
+  std::remove(full_path.c_str());
+}
+
+// Slots 0, 3 and 6 throw; slot 6 is handed out first of them (slot 0, the
+// lowest failing slot, only fifth), so its exception is the one rethrown
+// at every lane count.
+TEST(RunJournaled, RethrowsTheFailingSlotHandedOutFirst) {
+  for (const unsigned lanes : {1u, 2u, 4u}) {
+    for (int round = 0; round < 20; ++round) {
+      std::string caught;
+      try {
+        runtime::run_journaled(
+            lanes, kSlots, nullptr, false, slot_size, slot_seed,
+            [](std::size_t, const std::string&) { return true; },
+            [](std::size_t k) {
+              if (k % 3 == 0) throw std::runtime_error(std::to_string(k));
+              return slot_payload(k);
+            });
+      } catch (const std::runtime_error& e) {
+        caught = e.what();
+      }
+      EXPECT_EQ(caught, "6") << lanes << " lanes, round " << round;
+    }
+  }
 }
 
 TEST(ResumableGrid, WatchdogMarksPointTimedOutInsteadOfHanging) {
