@@ -49,7 +49,7 @@ int run(int argc, char** argv) {
   cfg.admission.queue_capacity = 6;
   cfg.admission.cycles_per_tick = 256;  // tight enough to exercise shedding
   cfg.admission.degrade_depth = 4;
-  cfg.retry = runtime::RetryPolicy{3, 8, 0x5EEDBACCULL};
+  cfg.retry = service::RetryPolicy{3, 8, 0x5EEDBACCULL};
 
   std::string reference_log;
   service::ServiceCounters reference_counters;

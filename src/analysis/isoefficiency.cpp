@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "lb/engine.hpp"
 #include "runtime/journal.hpp"
 #include "runtime/sweep.hpp"
@@ -38,10 +39,12 @@ bool decode_grid_point(const std::string& payload, GridPoint& out) {
   GridPoint pt;
   std::uint64_t eff = 0, timed = 0, el = 0, calc = 0, idle = 0, lb = 0,
                 rec = 0;
-  if (!(is >> pt.p >> pt.w >> eff >> pt.expand_cycles >> pt.lb_phases >>
-        pt.lb_rounds >> timed >> el >> calc >> idle >> lb >> rec >>
-        pt.clock.expand_cycles >> pt.clock.lb_rounds >>
-        pt.clock.recovery_rounds >> pt.clock.nodes_expanded)) {
+  const auto u = [&is](auto& v) { return common::read_uint(is, v); };
+  if (!(u(pt.p) && u(pt.w) && u(eff) && u(pt.expand_cycles) &&
+        u(pt.lb_phases) && u(pt.lb_rounds) && u(timed) && u(el) && u(calc) &&
+        u(idle) && u(lb) && u(rec) && u(pt.clock.expand_cycles) &&
+        u(pt.clock.lb_rounds) && u(pt.clock.recovery_rounds) &&
+        u(pt.clock.nodes_expanded))) {
     return false;
   }
   std::string extra;

@@ -6,15 +6,13 @@
 // truncated ("4294967296" as 0).
 #pragma once
 
-#include <charconv>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
-#include <system_error>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 
 namespace simdts::common {
 
@@ -27,10 +25,9 @@ namespace simdts::common {
     std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
-  const char* end = v + std::strlen(v);
   std::uint64_t parsed = 0;
-  const auto [ptr, ec] = std::from_chars(v, end, parsed);
-  if (ec != std::errc{} || ptr != end || parsed == 0 || parsed > max) {
+  if (!parse_uint(std::string_view(v), parsed) || parsed == 0 ||
+      parsed > max) {
     throw ConfigError(std::string(name) + " must be an integer in [1, " +
                           std::to_string(max) + "]",
                       std::string(name) + "=" + v);

@@ -1,13 +1,12 @@
 // Typed errors for the simdts library.
 //
-// Bench drivers and the sweeps need to tell three failure classes
-// apart: a configuration that can never work (reject up front, print the
-// offending parameter), a simulation that blew its watchdog budget (report a
-// typed timeout result and move on), and a transient host-side hiccup (retry
-// with backoff).  A bare assert() gives none of that — it kills the whole
-// sweep with no context — so everything the library throws derives from
-// simdts::Error and carries enough context (scheme name, machine size,
-// simulated cycle) to print an actionable one-line diagnostic.
+// Bench drivers and the sweeps need to tell failure classes apart: a
+// configuration that can never work (reject up front, print the offending
+// parameter) and a simulation that blew its watchdog budget (report a typed
+// timeout result and move on).  A bare assert() gives none of that — it
+// kills the whole sweep with no context — so everything the library throws
+// derives from simdts::Error and carries enough context (scheme name,
+// machine size, simulated cycle) to print an actionable one-line diagnostic.
 #pragma once
 
 #include <cstdint>
@@ -93,13 +92,6 @@ class TimeoutError : public Error {
 
   std::uint64_t cycles_;
   std::uint64_t budget_;
-};
-
-/// A host-side failure worth retrying (runtime::run_tasks backs off and
-/// re-attempts the task up to its retry policy's limit).
-class TransientError : public Error {
- public:
-  using Error::Error;
 };
 
 /// The solve service refused (or shed) a request because accepting it would

@@ -12,9 +12,10 @@
 //
 // Event semantics (implemented by service::SolveService, docs/service.md):
 //   kEngineCrash   the first `count` execution attempts of that request
-//                  throw simdts::TransientError; the service retries with
-//                  seeded exponential backoff and either succeeds on a later
-//                  attempt or surfaces a typed failure.
+//                  crash.  The service counts them from the plan instead of
+//                  running them: it charges seeded exponential backoff per
+//                  retry and either solves on a later attempt or, once
+//                  `count` reaches the attempt limit, answers kFailed.
 //   kCacheCorrupt  after the request's result is appended to the result
 //                  cache, byte `count` of the stored payload is flipped on
 //                  disk.  A later verified read detects the checksum

@@ -150,7 +150,8 @@ class Engine {
   /// Watchdog: a nonzero budget bounds the expand cycles of each bounded DFS
   /// (each run_iteration / IDA* iteration); exceeding it throws
   /// simdts::TimeoutError with the scheme, machine size, and cycle count.
-  /// runtime::run_tasks converts that into a typed per-task timeout result.
+  /// Callers turn that into a typed result: analysis::run_grid marks the
+  /// cell timed out, the service answers kBudgetExhausted.
   void set_cycle_budget(std::uint64_t max_cycles) {
     cycle_budget_ = max_cycles;
   }

@@ -3,6 +3,7 @@
 #include <bit>
 #include <sstream>
 
+#include "common/parse.hpp"
 #include "search/bound.hpp"
 
 namespace simdts::lb {
@@ -58,18 +59,18 @@ void put_f64(std::ostream& os, double v) {
 }
 
 bool get_u64(std::istream& is, std::uint64_t& v) {
-  return static_cast<bool>(is >> v);
+  return common::read_uint(is, v);
 }
 
 bool get_f64(std::istream& is, double& v) {
   std::uint64_t bits = 0;
-  if (!(is >> bits)) return false;
+  if (!common::read_uint(is, bits)) return false;
   v = std::bit_cast<double>(bits);
   return true;
 }
 
-bool get_i64(std::istream& is, std::int64_t& v) {
-  return static_cast<bool>(is >> v);
+bool get_bound(std::istream& is, search::Bound& v) {
+  return static_cast<bool>(is >> v);  // out of range fails, never wraps
 }
 
 }  // namespace
@@ -97,10 +98,8 @@ bool decode_journal(const std::string& payload, IterationStats& out) {
   std::string version;
   if (!(is >> version) || version != "v1") return false;
   IterationStats s;
-  std::int64_t bound = 0;
-  std::int64_t next_bound = 0;
-  if (!get_i64(is, bound) || !get_u64(is, s.nodes_expanded) ||
-      !get_u64(is, s.goals_found) || !get_i64(is, next_bound) ||
+  if (!get_bound(is, s.bound) || !get_u64(is, s.nodes_expanded) ||
+      !get_u64(is, s.goals_found) || !get_bound(is, s.next_bound) ||
       !get_u64(is, s.expand_cycles) || !get_u64(is, s.lb_phases) ||
       !get_u64(is, s.lb_rounds) || !get_u64(is, s.transfers) ||
       !get_u64(is, s.pes_killed) || !get_u64(is, s.pes_revived) ||
@@ -116,8 +115,6 @@ bool decode_journal(const std::string& payload, IterationStats& out) {
   }
   std::string extra;
   if (is >> extra) return false;  // trailing garbage: treat as torn
-  s.bound = static_cast<search::Bound>(bound);
-  s.next_bound = static_cast<search::Bound>(next_bound);
   out = std::move(s);
   return true;
 }

@@ -1,23 +1,11 @@
 #include "runtime/journal.hpp"
 
-#include <charconv>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 
 namespace simdts::runtime {
-
-namespace {
-
-/// Parses a whole, non-empty token of hex digits (no sign, prefix or
-/// whitespace).
-bool parse_hex(std::string_view token, std::uint64_t& out) {
-  const char* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, out, 16);
-  return ec == std::errc{} && ptr == end;
-}
-
-}  // namespace
 
 bool Journal::Entry::intact(std::uint64_t key, std::uint64_t seed) const {
   return checksum == Journal::checksum(key ^ seed, payload);
@@ -50,8 +38,9 @@ std::map<std::uint64_t, Journal::Entry> Journal::load() const {
     if (s2 == std::string_view::npos) continue;
     std::uint64_t key = 0;
     Entry entry;
-    if (!parse_hex(body.substr(0, s1), key) ||
-        !parse_hex(body.substr(s1 + 1, s2 - s1 - 1), entry.checksum)) {
+    if (!common::parse_uint(body.substr(0, s1), key, 16) ||
+        !common::parse_uint(body.substr(s1 + 1, s2 - s1 - 1), entry.checksum,
+                            16)) {
       continue;
     }
     entry.payload = body.substr(s2 + 1);

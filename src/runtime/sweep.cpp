@@ -1,12 +1,9 @@
 #include "runtime/sweep.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <thread>
 
 #include "common/env.hpp"
-#include "common/error.hpp"
-#include "fault/fault.hpp"
 #include "runtime/journal.hpp"
 
 namespace simdts::runtime {
@@ -20,67 +17,6 @@ unsigned sweep_threads() {
 unsigned sweep_lanes(unsigned threads, std::size_t n) {
   const unsigned wanted = threads == 0 ? sweep_threads() : threads;
   return static_cast<unsigned>(std::clamp<std::size_t>(n, 1, wanted));
-}
-
-const char* to_string(TaskStatus s) {
-  switch (s) {
-    case TaskStatus::kOk: return "ok";
-    case TaskStatus::kTimeout: return "timeout";
-    case TaskStatus::kTransient: return "transient";
-    case TaskStatus::kFailed: return "failed";
-  }
-  return "?";
-}
-
-std::uint64_t backoff_delay_ms(const RetryPolicy& policy, std::uint32_t retry,
-                               std::uint64_t salt) {
-  if (retry == 0 || policy.backoff_ms == 0) return 0;
-  // Retry k (1-based) waits backoff_ms << (k - 1); the shift is clamped so
-  // absurd attempt limits saturate instead of shifting past the width.
-  const std::uint32_t shift = std::min(retry - 1, 32u);
-  const std::uint64_t base = static_cast<std::uint64_t>(policy.backoff_ms)
-                             << shift;
-  if (policy.jitter_seed == 0) return base;
-  std::uint64_t state = policy.jitter_seed ^ (salt * 0x9E3779B97F4A7C15ULL);
-  state += retry;
-  return base + fault::splitmix64(state) % base;
-}
-
-std::vector<TaskReport> run_tasks(unsigned threads, std::size_t n,
-                                  const std::function<void(std::size_t)>& task,
-                                  RetryPolicy policy) {
-  std::vector<TaskReport> reports(n);
-  const std::uint32_t max_attempts = std::max(policy.max_attempts, 1u);
-  simd::ThreadPool pool(sweep_lanes(threads, n));
-  // SIMDLINT-SOURCE(partition) — the slot index arrives on whichever lane
-  pool.run(n, [&](std::size_t i) {
-    TaskReport& r = reports[i];
-    for (std::uint32_t attempt = 0;; ++attempt) {
-      r.attempts = attempt + 1;
-      try {
-        task(i);
-        r.status = TaskStatus::kOk;
-        r.message.clear();
-        return;
-      } catch (const TimeoutError& e) {
-        // Deterministic: would time out identically on retry.
-        r.status = TaskStatus::kTimeout;
-        r.message = e.what();
-        return;
-      } catch (const TransientError& e) {
-        r.status = TaskStatus::kTransient;
-        r.message = e.what();
-        if (attempt + 1 >= max_attempts) return;
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            backoff_delay_ms(policy, attempt + 1, i)));
-      } catch (const std::exception& e) {
-        r.status = TaskStatus::kFailed;
-        r.message = e.what();
-        return;
-      }
-    }
-  });
-  return reports;
 }
 
 void run_journaled(

@@ -23,13 +23,9 @@
 //     completion order.
 //   - Each task owns its private simd::Machine/engine state; the pool never
 //     shares simulation state across tasks.
-// Robustness (docs/robustness.md): run_tasks() runs a sweep with a typed
-// per-task outcome — a task that throws simdts::TimeoutError (the engine
-// watchdog) yields a kTimeout report instead of aborting the sweep, a
-// simdts::TransientError is retried with exponential backoff up to the
-// RetryPolicy's attempt limit, and anything else is reported kFailed with
-// its message.  run_journaled() makes a sweep resumable on top of
-// runtime::Journal (the analysis and bench layers own the payload codecs).
+// Robustness (docs/robustness.md): run_journaled() makes a sweep resumable
+// on top of runtime::Journal (the analysis and bench layers own the payload
+// codecs).
 #pragma once
 
 #include <compare>
@@ -58,66 +54,6 @@ inline constexpr std::uint64_t kMaxSweepThreads = 1024;
 
 /// The name perfbench still uses for the sweep pool.
 using SweepRunner = simd::ThreadPool;
-
-/// Outcome class of one sweep task under run_tasks().
-enum class TaskStatus : std::uint8_t {
-  kOk,        ///< completed (possibly after transient retries)
-  kTimeout,   ///< threw simdts::TimeoutError (watchdog); never retried
-  kTransient, ///< threw simdts::TransientError on every allowed attempt
-  kFailed,    ///< threw anything else; not retried
-};
-
-[[nodiscard]] const char* to_string(TaskStatus s);
-
-/// Per-task report filled in by run_tasks(), slot-indexed like the results.
-struct TaskReport {
-  TaskStatus status = TaskStatus::kOk;
-  std::uint32_t attempts = 1;  ///< executions of the task body
-  std::string message;         ///< the final exception's what(), if any
-
-  friend bool operator==(const TaskReport&, const TaskReport&) = default;
-};
-
-/// Retry policy for transient failures.  Timeouts and hard failures are
-/// never retried — a deterministic simulation that blew its budget once
-/// will blow it every time.
-struct RetryPolicy {
-  std::uint32_t max_attempts = 3;   ///< total executions (first + retries)
-  /// Base backoff: the sleep before retry k (1-based) is
-  /// backoff_ms << (k - 1) — the first retry waits the base delay, every
-  /// further retry doubles it.  See backoff_delay_ms() for the exact
-  /// (clamped, optionally jittered) schedule.
-  std::uint32_t backoff_ms = 10;
-  /// Nonzero arms deterministic jitter: each delay gains a SplitMix64-derived
-  /// offset in [0, base) mixed from (jitter_seed, salt, retry), so
-  /// simultaneous retries of different tasks decorrelate without any host
-  /// RNG state.  Zero (the default) keeps the schedule exactly exponential.
-  std::uint64_t jitter_seed = 0;
-};
-
-/// The backoff schedule as a pure function: the delay in milliseconds slept
-/// before retry `retry` (1-based — retry 1 precedes the second execution;
-/// retry 0 is meaningless and returns 0).  The base delay is
-/// backoff_ms << (retry - 1) with the shift clamped at 32, so a pathological
-/// attempt limit saturates instead of shifting past the width (undefined
-/// behaviour).  With policy.jitter_seed != 0 a deterministic jitter in
-/// [0, base) is added, derived from SplitMix64 over (jitter_seed, salt,
-/// retry); `salt` identifies the retrying task (run_tasks passes the task
-/// index) so concurrent retries spread out.  Exposed — and kept pure — so
-/// tests and the service layer can pin the exact schedule without sleeping.
-[[nodiscard]] std::uint64_t backoff_delay_ms(const RetryPolicy& policy,
-                                             std::uint32_t retry,
-                                             std::uint64_t salt = 0);
-
-/// Runs task(i) for every i in [0, n) on a pool of sweep_lanes(threads, n)
-/// lanes, with failures contained per task: returns one TaskReport per index
-/// instead of rethrowing.  A task throwing TransientError is re-attempted
-/// (with exponential backoff) up to policy.max_attempts times; TimeoutError
-/// and other exceptions settle the task immediately.  The sweep always
-/// visits every index.
-[[nodiscard]] std::vector<TaskReport> run_tasks(
-    unsigned threads, std::size_t n,
-    const std::function<void(std::size_t)>& task, RetryPolicy policy = {});
 
 class Journal;
 

@@ -119,7 +119,7 @@ struct Response {
   /// cache hit, coalesced).
   std::uint32_t attempts = 0;
   /// Total backoff charged for retries, from the pure schedule
-  /// runtime::backoff_delay_ms (the service never sleeps host time).
+  /// service::backoff_delay_ms (the service never sleeps host time).
   std::uint64_t backoff_ms_total = 0;
   std::uint64_t queue_delay_ticks = 0;
   /// Machine size actually used (0 when never executed).

@@ -6,9 +6,12 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
+#include "fault/fault.hpp"
 #include "lb/config.hpp"
 #include "lb/engine.hpp"
 #include "puzzle/fifteen.hpp"
+#include "runtime/sweep.hpp"
 #include "search/problem.hpp"
 #include "simd/machine.hpp"
 #include "synthetic/tree.hpp"
@@ -17,7 +20,8 @@ namespace simdts::service {
 
 namespace {
 
-/// Outcome of one executed solve (leader slot), before response assembly.
+/// Outcome of one leader slot, before response assembly: kOk or
+/// kBudgetExhausted from the engine, or kFailed with the failure as `note`.
 struct ExecOutcome {
   ResponseStatus status = ResponseStatus::kOk;
   std::uint64_t nodes = 0;
@@ -112,6 +116,20 @@ void append_note(std::string& note, const std::string& extra) {
 
 }  // namespace
 
+std::uint64_t backoff_delay_ms(const RetryPolicy& policy, std::uint32_t retry,
+                               std::uint64_t salt) {
+  if (retry == 0 || policy.backoff_ms == 0) return 0;
+  // Retry k (1-based) waits backoff_ms << (k - 1); the shift is clamped so
+  // absurd attempt limits saturate instead of shifting past the width.
+  const std::uint32_t shift = std::min(retry - 1, 32u);
+  const std::uint64_t base = static_cast<std::uint64_t>(policy.backoff_ms)
+                             << shift;
+  if (policy.jitter_seed == 0) return base;
+  std::uint64_t state = policy.jitter_seed ^ (salt * 0x9E3779B97F4A7C15ULL);
+  state += retry;
+  return base + fault::splitmix64(state) % base;
+}
+
 std::string encode_cache_payload(std::uint64_t nodes_expanded,
                                  std::uint64_t expand_cycles,
                                  std::uint64_t goals_found) {
@@ -128,7 +146,10 @@ bool decode_cache_payload(const std::string& payload,
   std::uint64_t n = 0;
   std::uint64_t c = 0;
   std::uint64_t g = 0;
-  if (!(is >> n >> c >> g)) return false;
+  if (!(common::read_uint(is, n) && common::read_uint(is, c) &&
+        common::read_uint(is, g))) {
+    return false;
+  }
   std::string rest;
   if (is >> rest) return false;  // trailing junk
   nodes_expanded = n;
@@ -185,6 +206,7 @@ std::vector<Response> SolveService::run_trace(
     std::uint64_t key;
     std::uint32_t eff_p;
     SolveMode eff_mode;
+    std::uint32_t crashes;  ///< scripted kEngineCrash attempts
   };
   std::vector<Slot> slots;
   std::vector<Response> resp(trace.size());
@@ -252,32 +274,38 @@ std::vector<Response> SolveService::run_trace(
     }
     exec_slot[i] = static_cast<std::ptrdiff_t>(slots.size());
     pending[key] = slots.size();
-    slots.push_back(Slot{i, key, eff_p, eff_mode});
+    slots.push_back(
+        Slot{i, key, eff_p, eff_mode, faults_.crash_attempts_for(i)});
   }
 
   // --- pass 3: parallel execution of leaders ---
-  std::vector<ExecOutcome> outcomes(slots.size());
-  // Per-slot attempt counter for the scripted crashes.  Safe without a lock:
-  // run_tasks retries a slot inside the worker that owns it.
-  std::vector<std::uint32_t> crash_seen(slots.size(), 0);
-  runtime::RetryPolicy exec_policy = cfg_.retry;
-  exec_policy.backoff_ms = 0;  // backoff is charged virtually, never slept
-  const std::vector<runtime::TaskReport> reports = runtime::run_tasks(
-      cfg_.threads, slots.size(),
+  // Scripted crashes are counted, not run: a leader with at least as many
+  // crashes as attempts never solves, every other one solves once, on its
+  // last attempt.  A hard failure settles only its own request.
+  const std::uint32_t max_attempts = cfg_.retry.max_attempts;
+  const std::vector<ExecOutcome> outcomes = runtime::sweep_map<ExecOutcome>(
+      slots.size(),
       [&](std::size_t s) {
         const Slot& sl = slots[s];
         const Request& r = trace[sl.trace_index];
-        const std::uint32_t scripted =
-            faults_.crash_attempts_for(sl.trace_index);
-        if (++crash_seen[s] <= scripted) {
+        ExecOutcome out;
+        if (sl.crashes >= max_attempts) {
           std::ostringstream os;
           os << "scripted engine crash [request=" << r.id
-             << " attempt=" << crash_seen[s] << " of " << scripted << "]";
-          throw TransientError(os.str());
+             << " attempt=" << max_attempts << " of " << sl.crashes << "]";
+          out.status = ResponseStatus::kFailed;
+          out.note = os.str();
+          return out;
         }
-        outcomes[s] = solve_one(r, sl.eff_p, sl.eff_mode, cfg_.static_x);
+        try {
+          return solve_one(r, sl.eff_p, sl.eff_mode, cfg_.static_x);
+        } catch (const std::exception& e) {
+          out.status = ResponseStatus::kFailed;
+          out.note = e.what();
+          return out;
+        }
       },
-      exec_policy);
+      cfg_.threads);
 
   // --- pass 4: response assembly + cache writes (serial, trace order) ---
   for (std::size_t i = 0; i < trace.size(); ++i) {
@@ -285,58 +313,38 @@ std::vector<Response> SolveService::run_trace(
     if (exec_slot[i] >= 0) {
       const auto s = static_cast<std::size_t>(exec_slot[i]);
       const Slot& sl = slots[s];
-      const runtime::TaskReport& rep = reports[s];
       const ExecOutcome& oc = outcomes[s];
       const bool leader = sl.trace_index == i;
       if (leader) {
-        out.attempts = rep.attempts;
-        for (std::uint32_t k = 1; k < rep.attempts; ++k) {
-          out.backoff_ms_total += runtime::backoff_delay_ms(cfg_.retry, k, s);
+        out.attempts = std::min(sl.crashes, max_attempts - 1) + 1;
+        for (std::uint32_t k = 1; k < out.attempts; ++k) {
+          out.backoff_ms_total += backoff_delay_ms(cfg_.retry, k, s);
         }
-        counters_.retries += rep.attempts - 1;
+        counters_.retries += out.attempts - 1;
       }
-      switch (rep.status) {
-        case runtime::TaskStatus::kOk: {
-          out.status = leader ? oc.status : ResponseStatus::kCoalesced;
-          out.nodes_expanded = oc.nodes;
-          out.expand_cycles = oc.cycles;
-          out.goals_found = oc.goals;
-          if (leader) {
-            append_note(out.note, oc.note);
-          } else {
-            std::ostringstream os;
-            os << "coalesced with request " << trace[sl.trace_index].id << " ("
-               << to_string(oc.status) << ")";
-            append_note(out.note, os.str());
-          }
-          break;
-        }
-        case runtime::TaskStatus::kTransient: {
-          out.status = ResponseStatus::kFailed;
+      if (oc.status == ResponseStatus::kFailed) {
+        out.status = ResponseStatus::kFailed;
+        const bool exhausted = sl.crashes >= max_attempts;
+        const char* prefix =
+            exhausted ? (leader ? "retries exhausted: "
+                                : "coalesced leader's retries exhausted: ")
+                      : (leader ? "" : "coalesced leader failed: ");
+        append_note(out.note, prefix + oc.note);
+      } else {
+        out.status = leader ? oc.status : ResponseStatus::kCoalesced;
+        out.nodes_expanded = oc.nodes;
+        out.expand_cycles = oc.cycles;
+        out.goals_found = oc.goals;
+        if (leader) {
+          append_note(out.note, oc.note);
+        } else {
           std::ostringstream os;
-          os << (leader ? "retries exhausted: "
-                        : "coalesced leader's retries exhausted: ")
-             << rep.message;
+          os << "coalesced with request " << trace[sl.trace_index].id << " ("
+             << to_string(oc.status) << ")";
           append_note(out.note, os.str());
-          break;
-        }
-        case runtime::TaskStatus::kTimeout: {
-          // drive_engine converts watchdog timeouts itself; this arm is
-          // defensive, for a timeout escaping a future execution path.
-          out.status = ResponseStatus::kBudgetExhausted;
-          append_note(out.note, rep.message);
-          break;
-        }
-        case runtime::TaskStatus::kFailed: {
-          out.status = ResponseStatus::kFailed;
-          append_note(out.note,
-                      leader ? rep.message
-                             : "coalesced leader failed: " + rep.message);
-          break;
         }
       }
-      if (leader && cache_ && rep.status == runtime::TaskStatus::kOk &&
-          oc.status == ResponseStatus::kOk) {
+      if (leader && cache_ && oc.status == ResponseStatus::kOk) {
         cache_->insert(sl.key,
                        encode_cache_payload(oc.nodes, oc.cycles, oc.goals));
       }

@@ -13,14 +13,15 @@
 //      becomes that key's *leader*; later identical requests coalesce onto
 //      it instead of solving twice.
 //   3. execution (parallel): leaders run on a bounded engine pool via
-//      runtime::run_tasks into slot-indexed outcomes.  Scripted
-//      kEngineCrash faults throw simdts::TransientError on the leading
-//      attempts; run_tasks retries up to the policy limit.  Deadlines are
+//      runtime::sweep_map into slot-indexed outcomes.  Scripted
+//      kEngineCrash faults are not run but counted: a leader whose plan
+//      scripts c crashes takes min(c, max_attempts - 1) + 1 attempts, and
+//      one with c >= max_attempts fails without solving.  Deadlines are
 //      simulated-cycle budgets enforced by the engine watchdog — a
 //      TimeoutError is converted to a kBudgetExhausted response carrying
 //      best-so-far stats, never a hang.  Backoff is charged on the virtual
-//      clock from the pure runtime::backoff_delay_ms schedule; the service
-//      never sleeps host time.
+//      clock from the pure backoff_delay_ms schedule; the service never
+//      sleeps host time.
 //   4. accounting post-pass (serial, trace order): responses are assembled
 //      from the slot-indexed outcomes, successful leader results are
 //      journaled into the cache (one flushed line each on the cache's
@@ -40,19 +41,45 @@
 #include <vector>
 
 #include "fault/service_fault.hpp"
-#include "runtime/sweep.hpp"
 #include "service/admission.hpp"
 #include "service/cache.hpp"
 #include "service/request.hpp"
 
 namespace simdts::service {
 
+/// Retry policy for scripted engine crashes.
+struct RetryPolicy {
+  std::uint32_t max_attempts = 3;   ///< total executions (first + retries)
+  /// Base backoff: the delay charged before retry k (1-based) is
+  /// backoff_ms << (k - 1) — the first retry waits the base delay, every
+  /// further retry doubles it.  See backoff_delay_ms() for the exact
+  /// (clamped, optionally jittered) schedule.
+  std::uint32_t backoff_ms = 10;
+  /// Nonzero arms deterministic jitter: each delay gains a SplitMix64-derived
+  /// offset in [0, base) mixed from (jitter_seed, salt, retry), so
+  /// simultaneous retries of different requests decorrelate without any host
+  /// RNG state.  Zero (the default) keeps the schedule exactly exponential.
+  std::uint64_t jitter_seed = 0;
+};
+
+/// The backoff schedule as a pure function: the delay in milliseconds
+/// charged before retry `retry` (1-based — retry 1 precedes the second
+/// execution; retry 0 is meaningless and returns 0).  The base delay is
+/// backoff_ms << (retry - 1) with the shift clamped at 32, so a pathological
+/// attempt limit saturates instead of shifting past the width (undefined
+/// behaviour).  With policy.jitter_seed != 0 a deterministic jitter in
+/// [0, base) is added, derived from SplitMix64 over (jitter_seed, salt,
+/// retry); `salt` identifies the retrying request (the service passes its
+/// execution slot) so concurrent retries spread out.
+[[nodiscard]] std::uint64_t backoff_delay_ms(const RetryPolicy& policy,
+                                             std::uint32_t retry,
+                                             std::uint64_t salt = 0);
+
 struct ServiceConfig {
   AdmissionConfig admission{};
-  /// Retry schedule for transient (scripted-crash) failures.  backoff_ms
-  /// feeds the *virtual* backoff accounting via backoff_delay_ms(); the
-  /// execution pool itself runs with host sleeping disabled.
-  runtime::RetryPolicy retry{3, 8, 0x5EEDBACCULL};
+  /// Retry schedule for scripted engine crashes.  backoff_ms feeds the
+  /// *virtual* backoff accounting via backoff_delay_ms(); nothing sleeps.
+  RetryPolicy retry{3, 8, 0x5EEDBACCULL};
   /// Result-cache journal path; empty disables the cache entirely.
   std::filesystem::path cache_path;
   /// Host threads for the execution pass (0 = sweep_threads()).  Response

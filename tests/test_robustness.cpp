@@ -1,9 +1,8 @@
-// Host-side robustness: typed errors, validated configuration, journaled
-// checkpoint/resume, and the retrying sweep wrapper (docs/robustness.md).
+// Host-side robustness: typed errors, validated configuration, and the
+// journaled checkpoint/resume of sweeps (docs/robustness.md).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -118,6 +117,20 @@ TEST(JournalCodec, RejectsTornAndAlienPayloads) {
   EXPECT_FALSE(lb::decode_journal(good + " 7", out));
   EXPECT_FALSE(lb::decode_journal("v9 " + good, out));
   EXPECT_FALSE(lb::decode_journal("", out));
+  // Unsigned fields take digits only: a sign is malformed, not wrapped
+  // ("-1" as 2^64 - 1).  The signed bounds keep their minus, in range.
+  EXPECT_TRUE(lb::decode_journal("v1 0 1" + good.substr(6), out));
+  EXPECT_FALSE(lb::decode_journal("v1 0 -1" + good.substr(6), out));
+  EXPECT_FALSE(lb::decode_journal("v1 0 +0" + good.substr(6), out));
+  // A bound outside search::Bound's range is malformed, not wrapped.
+  EXPECT_TRUE(lb::decode_journal("v1 -7" + good.substr(4), out));
+  EXPECT_EQ(out.bound, -7);
+  EXPECT_FALSE(lb::decode_journal("v1 4294967296" + good.substr(4), out));
+  lb::IterationStats negative;
+  negative.bound = -3;
+  negative.next_bound = -1;
+  ASSERT_TRUE(lb::decode_journal(lb::encode_journal(negative), out));
+  EXPECT_EQ(out, negative);
 }
 
 TEST(JournalCodec, GridPointRoundTripsExactly) {
@@ -139,6 +152,15 @@ TEST(JournalCodec, GridPointRoundTripsExactly) {
   EXPECT_EQ(back, pt);
 
   EXPECT_FALSE(analysis::decode_grid_point("v1 1 2 3", back));
+  const std::string encoded = analysis::encode_grid_point(pt);
+  analysis::GridPoint p16;
+  ASSERT_TRUE(analysis::decode_grid_point("v1 16" + encoded.substr(7), p16));
+  EXPECT_EQ(p16.p, 16u);
+  EXPECT_FALSE(analysis::decode_grid_point("v1 -16" + encoded.substr(7), back));
+  EXPECT_FALSE(analysis::decode_grid_point("v1 +16" + encoded.substr(7), back));
+  EXPECT_FALSE(analysis::decode_grid_point(
+      "v1 4294967296" + encoded.substr(7), back));  // p is 32-bit
+  EXPECT_EQ(back, pt);
   EXPECT_FALSE(analysis::decode_grid_point(
       analysis::encode_grid_point(pt) + " junk", back));
 }
@@ -595,132 +617,6 @@ TEST(ResumableGrid, WatchdogMarksPointTimedOutInsteadOfHanging) {
   EXPECT_TRUE(grid.points[0].timed_out);
   EXPECT_EQ(grid.points[0].p, 16u);
   EXPECT_EQ(grid.points[0].w, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// run_tasks: typed per-task outcomes with retry/backoff.
-// ---------------------------------------------------------------------------
-
-TEST(RunTasks, ReportsOkTimeoutAndFailure) {
-  const auto reports = runtime::run_tasks(
-      2, 4,
-      [](std::size_t i) {
-        switch (i) {
-          case 0: return;  // ok
-          case 1: throw TimeoutError("gp", 16, 100, 10);
-          case 2: throw Error("hard failure");
-          default: return;
-        }
-      },
-      runtime::RetryPolicy{3, 0});
-
-  ASSERT_EQ(reports.size(), 4u);
-  EXPECT_EQ(reports[0].status, runtime::TaskStatus::kOk);
-  EXPECT_EQ(reports[0].attempts, 1u);
-  EXPECT_EQ(reports[1].status, runtime::TaskStatus::kTimeout);
-  EXPECT_EQ(reports[1].attempts, 1u);  // timeouts are never retried
-  EXPECT_NE(reports[1].message.find("budget"), std::string::npos);
-  EXPECT_EQ(reports[2].status, runtime::TaskStatus::kFailed);
-  EXPECT_EQ(reports[2].attempts, 1u);
-  EXPECT_EQ(reports[3].status, runtime::TaskStatus::kOk);
-}
-
-TEST(RunTasks, RetriesTransientFailuresWithBackoff) {
-  std::atomic<int> calls{0};
-  const auto reports = runtime::run_tasks(
-      1, 1,
-      [&](std::size_t) {
-        // Fail twice, then succeed.
-        if (calls.fetch_add(1) < 2) throw TransientError("blip");
-      },
-      runtime::RetryPolicy{5, 0});
-  ASSERT_EQ(reports.size(), 1u);
-  EXPECT_EQ(reports[0].status, runtime::TaskStatus::kOk);
-  EXPECT_EQ(reports[0].attempts, 3u);
-  EXPECT_EQ(calls.load(), 3);
-}
-
-TEST(RunTasks, GivesUpAfterMaxAttempts) {
-  std::atomic<int> calls{0};
-  const auto reports = runtime::run_tasks(
-      1, 1,
-      [&](std::size_t) {
-        calls.fetch_add(1);
-        throw TransientError("always down");
-      },
-      runtime::RetryPolicy{3, 0});
-  ASSERT_EQ(reports.size(), 1u);
-  EXPECT_EQ(reports[0].status, runtime::TaskStatus::kTransient);
-  EXPECT_EQ(reports[0].attempts, 3u);
-  EXPECT_EQ(calls.load(), 3);
-  EXPECT_EQ(std::string(runtime::to_string(reports[0].status)), "transient");
-}
-
-// The backoff schedule is a documented contract (the service layer charges
-// it on its virtual clock), so pin the exact sequence at the boundaries: the
-// base doubles per retry starting at backoff_ms (retry 1 waits the *base*
-// delay, not double it), retry 0 is meaningless and free, and the shift
-// saturates instead of running past the integer width.
-TEST(RunTasks, BackoffSchedulePinnedExactly) {
-  const runtime::RetryPolicy policy{8, 10, 0};
-  EXPECT_EQ(runtime::backoff_delay_ms(policy, 0), 0u);
-  EXPECT_EQ(runtime::backoff_delay_ms(policy, 1), 10u);
-  EXPECT_EQ(runtime::backoff_delay_ms(policy, 2), 20u);
-  EXPECT_EQ(runtime::backoff_delay_ms(policy, 3), 40u);
-  EXPECT_EQ(runtime::backoff_delay_ms(policy, 7), 640u);
-  // Saturation: the shift clamps at 32 — no undefined behaviour, and the
-  // delay plateaus instead of wrapping.
-  EXPECT_EQ(runtime::backoff_delay_ms(policy, 33),
-            10ull << 32);
-  EXPECT_EQ(runtime::backoff_delay_ms(policy, 200),
-            runtime::backoff_delay_ms(policy, 33));
-  // Zero base disables backoff entirely.
-  EXPECT_EQ(runtime::backoff_delay_ms(runtime::RetryPolicy{8, 0, 0}, 3), 0u);
-}
-
-TEST(RunTasks, SeededJitterIsDeterministicAndBounded) {
-  const runtime::RetryPolicy jittered{5, 10, 0xBADC0FFEULL};
-  // Deterministic: the same (policy, retry, salt) always yields the same
-  // delay; pin the first few values of this seed so an accidental reseed or
-  // mixing change fails loudly.
-  const std::uint64_t d1 = runtime::backoff_delay_ms(jittered, 1, 7);
-  const std::uint64_t d2 = runtime::backoff_delay_ms(jittered, 2, 7);
-  EXPECT_EQ(d1, runtime::backoff_delay_ms(jittered, 1, 7));
-  EXPECT_EQ(d2, runtime::backoff_delay_ms(jittered, 2, 7));
-  // Bounded: base <= delay < 2 * base.
-  EXPECT_GE(d1, 10u);
-  EXPECT_LT(d1, 20u);
-  EXPECT_GE(d2, 20u);
-  EXPECT_LT(d2, 40u);
-  // Salted: two tasks retrying at the same attempt spread out.
-  EXPECT_NE(runtime::backoff_delay_ms(jittered, 1, 0),
-            runtime::backoff_delay_ms(jittered, 1, 1));
-}
-
-TEST(RunTasks, GiveUpCountMatchesScheduleLength) {
-  // A task that always fails is executed exactly max_attempts times and
-  // charged exactly max_attempts - 1 backoff delays; the final attempt is
-  // not followed by a sleep.  (Guards the off-by-one between attempts and
-  // retries that the schedule refactor fixed.)
-  std::atomic<int> calls{0};
-  const runtime::RetryPolicy policy{4, 0};
-  const auto reports = runtime::run_tasks(
-      1, 1,
-      [&](std::size_t) {
-        calls.fetch_add(1);
-        throw TransientError("always down");
-      },
-      policy);
-  ASSERT_EQ(reports.size(), 1u);
-  EXPECT_EQ(reports[0].attempts, 4u);
-  EXPECT_EQ(calls.load(), 4);
-  // The virtual charge for those retries, with a nonzero base: retries 1..3.
-  const runtime::RetryPolicy charged{4, 10, 0};
-  std::uint64_t total = 0;
-  for (std::uint32_t k = 1; k < reports[0].attempts; ++k) {
-    total += runtime::backoff_delay_ms(charged, k, 0);
-  }
-  EXPECT_EQ(total, 10u + 20u + 40u);
 }
 
 }  // namespace

@@ -299,10 +299,10 @@ class NoWallClockRule final : public Rule {
   std::string id() const override { return "no-wall-clock"; }
   std::string summary() const override {
     return "wall-clock reads in library code — simulated time flows through "
-           "MachineClock; host timing belongs in bench/ or src/runtime/";
+           "MachineClock; host timing belongs in bench/ or perfbench/";
   }
   bool applies(const std::string& path) const override {
-    return path_in_dir(path, "src") && !path_in_dir(path, "src/runtime");
+    return path_in_dir(path, "src");
   }
   void check(const SourceFile& f, std::vector<Finding>& out) const override {
     static const std::set<std::string> kBannedIdent = {
